@@ -36,6 +36,19 @@ struct SolveStats {
   double preprocess_seconds = 0.0;      ///< domain preprocessing time
   double search_seconds = 0.0;          ///< enumeration time
   double total_seconds() const { return preprocess_seconds + search_seconds; }
+
+  /// Add another search's effort counters (nodes through block_lanes): how
+  /// engines, tasks and worker shards fold into one total.  The parallel
+  /// and timing fields are the caller's to set.
+  SolveStats& operator+=(const SolveStats& other) {
+    nodes += other.nodes;
+    constraint_checks += other.constraint_checks;
+    fast_checks += other.fast_checks;
+    prunes += other.prunes;
+    block_checks += other.block_checks;
+    block_lanes += other.block_lanes;
+    return *this;
+  }
 };
 
 /// How an idle worker picks steal victims when its own deque runs dry.

@@ -22,8 +22,10 @@
 // shared evaluation cache is saved on drain/shutdown and reloaded on start,
 // so a restarted service warm-starts both construction and measurements.
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 

@@ -1,12 +1,11 @@
 #pragma once
 // Concurrent multi-session tuning runtime.
 //
-// run_tuning (runner.hpp) drives exactly one optimizer over one space.  A
-// production tuner serves many sessions at once — several kernels, several
-// devices, several users — and most of that load is redundant: sessions
-// tuning the same spec re-solve the same constrained space and re-measure
-// the same configurations.  This header adds the runtime that amortizes
-// both:
+// A production tuner serves many sessions at once — several kernels,
+// several devices, several users — and most of that load is redundant:
+// sessions tuning the same spec re-solve the same constrained space and
+// re-measure the same configurations.  This header adds the runtime that
+// amortizes both:
 //
 //   SharedEvalCache   lock-striped map of simulated kernel measurements
 //                     keyed by (space fingerprint, parent row id).  The
@@ -15,15 +14,16 @@
 //                     sharing never changes a session's result — it only
 //                     skips redundant model work.
 //
-//   SessionStepper    the single session core, inverted into a resumable
-//                     ask/tell state machine: suggest() yields the next
-//                     configuration to measure, report() feeds the
-//                     measurement back and advances the virtual clock,
-//                     budget accounting, trajectory and shared-cache
-//                     interaction.  The legacy run_tuning overloads, the
-//                     SessionManager workers, the Portfolio members and the
-//                     TuningService (service.hpp) are all thin drivers over
-//                     it — the session semantics exist exactly once.
+//   SessionStepper    the single session core as a resumable ask/tell
+//                     state machine: the optimizer is a suspended coroutine
+//                     (Optimizer::run), suggest() yields the configuration
+//                     it waits on, report() feeds the measurement back and
+//                     resumes it to its next ask.  The stepper owns the
+//                     virtual clock, budget accounting, trajectory and
+//                     shared-cache interaction.  run_session, the
+//                     SessionManager workers, the portfolio race and the
+//                     TuningService (service.hpp) all drive it — the session
+//                     semantics exist exactly once.
 //
 //   run_session       the closed-loop driver over a SessionStepper: takes
 //                     one SessionRequest, asks, answers each suggestion
@@ -43,22 +43,17 @@
 //
 //   run_portfolio     races N optimizers (seed-split from one root seed)
 //                     over the same view with a shared best-so-far and an
-//                     early-stop rule.  Members run on real threads but
-//                     their evaluations are serialized in *virtual-time*
-//                     order by a lockstep scheduler (ties broken by member
-//                     index), so the shared best, the early stop and every
-//                     member trajectory are reproducible bit-for-bit
-//                     regardless of thread scheduling.
+//                     early-stop rule.  One thread resumes the member
+//                     coroutines in *virtual-time* order (ties broken by
+//                     member index), so the shared best, the early stop and
+//                     every member trajectory are reproducible bit-for-bit.
 
-#include <atomic>
-#include <condition_variable>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -130,22 +125,6 @@ struct SessionStats {
   std::uint64_t surrogate_refits = 0;     ///< model-based optimizer refits
 };
 
-/// Internal hooks the Portfolio scheduler injects into the session loop;
-/// default-constructed hooks are inert (the plain run_tuning path).
-struct SessionHooks {
-  /// Blocks until this session may perform its next evaluation request
-  /// (the lockstep virtual-time turnstile); called with the current
-  /// virtual time before any budget is charged.
-  std::function<void(double now)> before_request;
-  /// Observes each completed (non-memoized) evaluation at its virtual time.
-  /// `score` is the session's scalarized objective value (exactly the
-  /// measured gflops for single-objective sessions), so the portfolio race
-  /// compares members on one shared axis regardless of objective count.
-  std::function<void(std::size_t local_row, double score, double now)> on_eval;
-  /// Extra stop predicate OR-ed into the budget check (shared early stop).
-  std::function<bool(double now)> stop;
-};
-
 /// A configuration the stepper wants measured.
 struct Suggestion {
   std::size_t row = 0;           ///< view-local row id
@@ -153,18 +132,22 @@ struct Suggestion {
   csp::Config config;            ///< values in declared parameter order
 };
 
-/// The session core inverted into a resumable ask/tell state machine.
+class PortfolioRace;  // run_portfolio's scheduler (session.cpp)
+
+/// The session core as a resumable ask/tell state machine.
 ///
 /// A SessionStepper owns one session's virtual clock, budget and overhead
 /// accounting, trajectory, session-local memo and shared-eval-cache
-/// interaction.  The optimizer runs unchanged on a private worker thread;
-/// whenever it requests an evaluation the stepper either satisfies it
-/// internally (session memo, shared cache — both charge the clock exactly
-/// as the closed loop did) or parks the worker and surfaces the
-/// configuration through suggest().  report() feeds the measurement back,
-/// resumes the worker and returns once it parks at the next request (or
-/// finishes), so between any two public calls the machine is quiescent and
-/// every accessor is safe.
+/// interaction.  The optimizer is a coroutine the stepper holds suspended.
+/// Each evaluation it requests is answered on the spot when the stepper
+/// can (session memo, shared cache, spent budget — charging the clock
+/// exactly as a measurement would); otherwise the optimizer suspends and
+/// the configuration surfaces through suggest().  report() feeds the
+/// measurement back and resumes the optimizer on the calling thread until
+/// its next ask (or completion), so between any two public calls the
+/// session is suspended and every accessor is safe.  No thread is involved:
+/// a stepper is driven by whoever calls it, one call at a time, and
+/// destroying it destroys a still-suspended session.
 ///
 /// Contract (enforced with ServiceError):
 ///   - suggest() and report() strictly alternate: report() without an
@@ -173,13 +156,13 @@ struct Suggestion {
 ///     nullopt (idempotently) and report() throws kSessionFinished.
 ///   - Replay is deterministic: driving the stepper with the same view,
 ///     optimizer, options and measurement sequence reproduces the same
-///     suggestions and the same TuningRun bit-for-bit — run_session_loop is
+///     suggestions and the same TuningRun bit-for-bit — run_session is
 ///     exactly such a drive, so an ask/tell replay matches the closed loop.
 ///   - A measurement reported for (view, cache_fingerprint) becomes visible
 ///     to every other session sharing the cache the moment report() charges
 ///     it; later sessions hitting the entry still charge full evaluation
 ///     cost, so sharing never changes any session's TuningRun.
-class SessionStepper {
+class SessionStepper final : private EvalChannel {
  public:
   /// Computes the virtual-clock charge of a measurement (the model's
   /// evaluation_cost on the library path — power rides along with the
@@ -187,23 +170,21 @@ class SessionStepper {
   /// used to charge shared-cache hits, which never reach the reporter.
   using CostFn = std::function<double(const Measurement& measurement)>;
 
-  /// `optimizer`, `stats` and everything captured by `cost` and `hooks`
-  /// must outlive the stepper.  The constructor runs the optimizer up to
-  /// its first evaluation request (or to completion, for an empty view or
-  /// an exhausted budget).
+  /// `optimizer`, `stats` and everything captured by `cost` must outlive
+  /// the stepper.  The constructor runs the optimizer up to its first
+  /// evaluation request (or to completion, for an empty view or an
+  /// exhausted budget) and rethrows any exception it escaped with.
   SessionStepper(searchspace::SubSpace view, std::string method_name,
                  double construction_seconds, Optimizer& optimizer,
                  const TuningOptions& options, CostFn cost,
                  SharedEvalCache* shared_cache = nullptr,
                  std::uint64_t cache_fingerprint = 0,
-                 SessionStats* stats = nullptr, SessionHooks hooks = {});
-  ~SessionStepper();  // cancels a still-live session
+                 SessionStats* stats = nullptr);
   SessionStepper(const SessionStepper&) = delete;
   SessionStepper& operator=(const SessionStepper&) = delete;
 
   /// Next configuration to measure, or nullopt once the session finished
-  /// (budget exhausted or the optimizer swept the space).  Rethrows any
-  /// exception the optimizer escaped with.
+  /// (budget exhausted or the optimizer swept the space).
   std::optional<Suggestion> suggest();
 
   /// Answer the outstanding suggestion with a full objective vector;
@@ -212,14 +193,16 @@ class SessionStepper {
   /// the session's ObjectiveSpec before it touches any session state —
   /// trajectory, Pareto front, memo, shared cache — so a session only ever
   /// records what it asked to measure.  Publishes to the shared cache,
-  /// advances the clock, memoizes, and extends the trajectory and front.
+  /// advances the clock, memoizes, extends the trajectory and front, and
+  /// resumes the optimizer; rethrows any exception it escapes with.
   void report(const Measurement& measurement, double measure_seconds = -1.0);
 
   /// Scalar shim over report(Measurement): a gflops-only measurement, the
   /// v1 wire shape.  Components beyond gflops are unmeasured (zero).
   void report(double gflops, double measure_seconds = -1.0);
 
-  /// Abort the optimizer and finalize with the partial TuningRun (idempotent).
+  /// Destroy the suspended optimizer and finalize with the partial
+  /// TuningRun (idempotent).
   void cancel();
 
   bool awaiting_report() const { return awaiting_report_; }
@@ -242,23 +225,32 @@ class SessionStepper {
   }
 
  private:
-  struct Reply {
-    Measurement measurement{};
-    double cost_seconds = -1;
-  };
+  friend class PortfolioRace;
 
-  // Optimizer-facing (worker thread): the full request flow — overhead,
-  // memo, budget, shared cache or rendezvous, clock charge, trajectory and
-  // Pareto-front upkeep — returning the masked measurement.  evaluate() is
-  // its scalarized view, the fitness the legacy optimizers consume.
-  Measurement measure_row(std::size_t row);
-  double evaluate(std::size_t row);
-  void seed_from_cache();  // TuningOptions::warm_start, before the worker
+  /// A portfolio member: same session, but it starts suspended and hands
+  /// the turn back to `race` whenever its virtual clock passes another
+  /// member's (see run_portfolio).
+  SessionStepper(searchspace::SubSpace view, std::string method_name,
+                 double construction_seconds, Optimizer& optimizer,
+                 const TuningOptions& options, CostFn cost,
+                 SharedEvalCache* shared_cache, std::uint64_t cache_fingerprint,
+                 SessionStats* stats, PortfolioRace* race, std::size_t member);
+
+  // EvalChannel: the optimizer's requests.  request() charges the
+  // per-request overhead and answers memo hits, spent budgets and
+  // shared-cache hits on the spot; anything else becomes the pending ask.
+  bool request(std::size_t row, Measurement* out) override;
+  void suspended(std::coroutine_handle<> frame) override;
+
+  Task session();  // warm-start seeding, then the optimizer
+  bool exhausted();
+  bool holds_turn();  // always true outside a race
+  Measurement charge(std::size_t row, std::uint64_t parent_row,
+                     const Measurement& measured, double cost_seconds);
   void update_front(std::size_t row, std::uint64_t parent_row,
                     const Measurement& measurement);
-  Reply yield_ask(Suggestion ask);       // park the worker, wait for report
-  void wait_parked(std::unique_lock<std::mutex>& lock);
-  void finalize();                       // join + rethrow a worker error
+  void resume();  // continue the suspended session; finish once it returns
+  void finish();  // mark finished, rethrow the optimizer's exception
 
   searchspace::SubSpace view_;
   TuningOptions options_;
@@ -267,7 +259,8 @@ class SessionStepper {
   SharedEvalCache* shared_cache_;
   std::uint64_t cache_fingerprint_;
   SessionStats* stats_;
-  SessionHooks hooks_;
+  PortfolioRace* race_;
+  std::size_t member_;
   std::vector<std::string> names_;
   util::VirtualClock clock_;
   util::WallTimer wall_;
@@ -277,21 +270,15 @@ class SessionStepper {
   std::optional<Suggestion> best_;
   std::vector<std::pair<std::size_t, Measurement>> seeded_;
 
-  // Rendezvous between the driver (public methods) and the worker thread.
-  // All flags below are guarded by mutex_; outside a public call the worker
-  // is parked in yield_ask or has set done_, so the driver-side reads of
-  // run_/clock_/best_ race with nothing.
-  std::thread worker_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::optional<Suggestion> pending_;  ///< parked ask not yet consumed
-  Reply reply_;
-  bool resume_ = false;
-  std::atomic<bool> abort_{false};
-  bool done_ = false;
-  std::exception_ptr worker_error_;
+  // The suspended session.  `session_` is declared last so its frames are
+  // destroyed before anything they reference.
+  EvalContext ctx_;
+  std::optional<Suggestion> pending_;  ///< the ask the optimizer waits on
+  Measurement* reply_ = nullptr;       ///< where report() writes the answer
+  std::coroutine_handle<> parked_;     ///< innermost suspended frame
   bool awaiting_report_ = false;
   bool finished_ = false;
+  Task session_;
 };
 
 /// One tuning session, for run_session and the SessionManager — the single
@@ -343,16 +330,14 @@ struct SessionRequest {
   SharedEvalCache* shared_cache = nullptr;
   std::uint64_t cache_fingerprint = 0;
   SessionStats* stats = nullptr;  ///< optional observability sink
-  SessionHooks hooks;             ///< portfolio/lockstep injection points
 };
 
 /// Run one tuning session described by a SessionRequest: resolve the space
 /// (construct from `spec` or adopt `view`), drive the optimizer through a
 /// SessionStepper closed loop answering every suggestion with
 /// model->measure(), and return the finished TuningRun.  This is the one
-/// canonical entry point; the deprecated run_tuning / run_session_loop
-/// shims and the SessionManager workers all phrase themselves as
-/// SessionRequests.
+/// canonical entry point; the SessionManager workers phrase themselves as
+/// SessionRequests too.
 TuningRun run_session(const SessionRequest& request);
 
 /// Convenience builders for the common shapes.  The returned request
@@ -368,22 +353,6 @@ SessionRequest make_session_request(const searchspace::SubSpace& view,
                                     Optimizer& optimizer,
                                     const TuningOptions& options,
                                     const std::string& method_name = "subspace");
-
-/// Deprecated spelling of run_session(SessionRequest): kept for one release
-/// as a shim (see CONTRIBUTING.md).  Identical semantics — it builds the
-/// equivalent SessionRequest and forwards.
-[[deprecated(
-    "use run_session(SessionRequest) / make_session_request; see "
-    "CONTRIBUTING.md")]]
-TuningRun run_session_loop(const searchspace::SubSpace& view,
-                           const std::string& method_name,
-                           double construction_seconds,
-                           const PerformanceModel& model, Optimizer& optimizer,
-                           const TuningOptions& options,
-                           SharedEvalCache* shared_cache = nullptr,
-                           std::uint64_t cache_fingerprint = 0,
-                           SessionStats* stats = nullptr,
-                           const SessionHooks& hooks = {});
 
 /// Result of one scheduled session.
 struct SessionResult {
@@ -419,7 +388,7 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   /// Run every session to completion; results are indexed like `requests`.
-  /// Each session's TuningRun is identical to what an isolated run_tuning
+  /// Each session's TuningRun is identical to what an isolated run_session
   /// with the same spec, optimizer, and options would produce (fix
   /// TuningOptions::fixed_construction_seconds for bit-exact equality —
   /// measured construction latency is machine noise).
@@ -481,10 +450,13 @@ struct PortfolioResult {
   bool early_stopped = false; ///< a PortfolioOptions rule ended the race
 };
 
-/// Race `optimizers` over `view` with a shared best-so-far: members run
-/// concurrently but every evaluation is serialized in virtual-time order
-/// (ties by member index), so the race is reproducible bit-for-bit for a
-/// fixed root seed regardless of thread count.  Member i draws its seed
+/// Race `optimizers` over `view` with a shared best-so-far.  Each member is
+/// a suspended session; the calling thread resumes one at a time, always
+/// the unfinished member with the smallest (virtual clock, member index),
+/// and a member hands the turn back as soon as an evaluation moves its
+/// clock past another member's.  Every read of the shared best and every
+/// early-stop check thus happens in virtual-time order, and the race is
+/// reproducible bit-for-bit for a fixed root seed.  Member i draws its seed
 /// from the root seed's split stream.  `shared_cache` (optional) lets the
 /// race share measurements with a surrounding SessionManager; when null,
 /// members still share measurements with each other through a race-local

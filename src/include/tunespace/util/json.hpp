@@ -11,7 +11,9 @@
 // without perturbation.
 //
 // parse() throws tunespace::ServiceError(kProtocol) on malformed input —
-// the same taxonomy the rest of the service stack uses.
+// the same taxonomy the rest of the service stack uses — including
+// containers nested deeper than kMaxDepth, so hostile input cannot exhaust
+// the parser's stack.
 
 #include <cstdint>
 #include <string>
@@ -20,6 +22,9 @@
 #include <vector>
 
 namespace tunespace::util::json {
+
+/// Deepest container nesting parse() accepts.
+inline constexpr int kMaxDepth = 128;
 
 class Value;
 using Array = std::vector<Value>;

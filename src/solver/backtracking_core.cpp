@@ -224,7 +224,7 @@ bool BacktrackingEngine::next() {
     while (value_idx_[p_] < limit) {
       const std::size_t vi = value_idx_[p_]++;
       assigned_[var] = 1;
-      ++nodes_;
+      ++effort_.nodes;
       bool ok = true;
       if (blocked) {
         // Block tier: the lane-group verdicts for this position are computed
@@ -249,8 +249,8 @@ bool BacktrackingEngine::next() {
         // actually reads; all-integer problems skip this copy entirely.
         if (plan.var_needs_boxed[var]) values_[var] = dom[vi];
         for (const Constraint* c : plan.full_fast_at[p_]) {
-          ++checks_;
-          ++fast_checks_;
+          ++effort_.constraint_checks;
+          ++effort_.fast_checks;
           if (!c->satisfied_fast(int_values_.data())) {
             ok = false;
             break;
@@ -258,7 +258,7 @@ bool BacktrackingEngine::next() {
         }
         if (ok) {
           for (const Constraint* c : plan.full_at[p_]) {
-            ++checks_;
+            ++effort_.constraint_checks;
             if (!c->satisfied(values_.data())) {
               ok = false;
               break;
@@ -267,21 +267,21 @@ bool BacktrackingEngine::next() {
         }
         if (ok) {
           for (const Constraint* c : plan.partial_fast_at[p_]) {
-            ++checks_;
-            ++fast_checks_;
+            ++effort_.constraint_checks;
+            ++effort_.fast_checks;
             if (!c->consistent_fast(int_values_.data(), assigned_.data())) {
               ok = false;
-              ++prunes_;
+              ++effort_.prunes;
               break;
             }
           }
         }
         if (ok) {
           for (const Constraint* c : plan.partial_at[p_]) {
-            ++checks_;
+            ++effort_.constraint_checks;
             if (!c->consistent(values_.data(), assigned_.data())) {
               ok = false;
-              ++prunes_;
+              ++effort_.prunes;
               break;
             }
           }
@@ -336,10 +336,10 @@ void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,
   for (const Constraint* c : plan.full_fast_at[p]) {
     const std::uint64_t a = alive();
     if (a == 0) return;
-    checks_ += a;
-    fast_checks_ += a;
-    ++block_checks_;
-    block_lanes_ += a;
+    effort_.constraint_checks += a;
+    effort_.fast_checks += a;
+    ++effort_.block_checks;
+    effort_.block_lanes += a;
     c->satisfied_block(int_values_.data(), static_cast<std::uint32_t>(var),
                        cand, m, mask);
   }
@@ -348,7 +348,7 @@ void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,
       if (!mask[i]) continue;
       values_[var] = plan.domains[var][vi0 + i];
       for (const Constraint* c : plan.full_at[p]) {
-        ++checks_;
+        ++effort_.constraint_checks;
         if (!c->satisfied(values_.data())) {
           mask[i] = 0;
           break;
@@ -359,23 +359,23 @@ void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,
   for (const Constraint* c : plan.partial_fast_at[p]) {
     const std::uint64_t before = alive();
     if (before == 0) return;
-    checks_ += before;
-    fast_checks_ += before;
-    ++block_checks_;
-    block_lanes_ += before;
+    effort_.constraint_checks += before;
+    effort_.fast_checks += before;
+    ++effort_.block_checks;
+    effort_.block_lanes += before;
     c->consistent_block(int_values_.data(), assigned_.data(),
                         static_cast<std::uint32_t>(var), cand, m, mask);
-    prunes_ += before - alive();
+    effort_.prunes += before - alive();
   }
   if (!plan.partial_at[p].empty()) {
     for (std::size_t i = 0; i < m; ++i) {
       if (!mask[i]) continue;
       values_[var] = plan.domains[var][vi0 + i];
       for (const Constraint* c : plan.partial_at[p]) {
-        ++checks_;
+        ++effort_.constraint_checks;
         if (!c->consistent(values_.data(), assigned_.data())) {
           mask[i] = 0;
-          ++prunes_;
+          ++effort_.prunes;
           break;
         }
       }

@@ -95,12 +95,8 @@ class BacktrackingEngine {
     return static_cast<std::uint32_t>(value_idx_[pos] - 1);
   }
 
-  std::uint64_t nodes() const { return nodes_; }
-  std::uint64_t constraint_checks() const { return checks_; }
-  std::uint64_t fast_checks() const { return fast_checks_; }
-  std::uint64_t prunes() const { return prunes_; }
-  std::uint64_t block_checks() const { return block_checks_; }
-  std::uint64_t block_lanes() const { return block_lanes_; }
+  /// Search effort so far (the counters of SolveStats only).
+  const SolveStats& effort() const { return effort_; }
 
  private:
   /// One candidate lane group per block-enabled position (matches the
@@ -111,7 +107,7 @@ class BacktrackingEngine {
 
   /// Evaluate the lane group [vi0, min(vi0 + kBlockLanes, limit)) of search
   /// position `p` against the current partial assignment, filling
-  /// chunk_mask_.  Charges checks_/fast_checks_/prunes_ exactly as the
+  /// chunk_mask_.  Charges checks, fast checks and prunes exactly as the
   /// scalar per-candidate sweep would (lanes count as individual checks;
   /// dead lanes stop being charged), so solver stats are independent of
   /// whether the block tier is on.
@@ -130,8 +126,7 @@ class BacktrackingEngine {
   std::vector<unsigned char> chunk_mask_; ///< per position: kBlockLanes verdicts
   std::size_t p_ = 0;
   bool exhausted_ = false;
-  std::uint64_t nodes_ = 0, checks_ = 0, fast_checks_ = 0, prunes_ = 0;
-  std::uint64_t block_checks_ = 0, block_lanes_ = 0;
+  SolveStats effort_;
 };
 
 }  // namespace tunespace::solver::detail

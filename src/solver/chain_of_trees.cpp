@@ -56,7 +56,7 @@ struct BuildCtx {
   std::vector<Value> values;
   std::vector<std::int64_t> int_values;
   std::vector<unsigned char> assigned;
-  std::uint64_t nodes = 0, checks = 0, fast_checks = 0;
+  SolveStats effort;
   // pyATF-mode sink: the most recent name-keyed configuration dictionary.
   // A *fresh* dictionary is allocated per visited node / emitted solution,
   // matching the Python implementation's per-node dict objects.
@@ -174,7 +174,7 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
     if (needs_boxed[var]) ctx.values[var] = dom[vi];
     if (var_is_int[var]) ctx.int_values[var] = int_dom[var][vi];
     ctx.assigned[var] = 1;
-    ++ctx.nodes;
+    ++ctx.effort.nodes;
     if (interpreter_overhead_) {
       // Model the Python data flow: materialize the partial configuration
       // as a fresh name->value dictionary object for this node.
@@ -186,8 +186,8 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
     }
     bool ok = true;
     for (const Constraint* c : group.check_fast_at[depth]) {
-      ++ctx.checks;
-      ++ctx.fast_checks;
+      ++ctx.effort.constraint_checks;
+      ++ctx.effort.fast_checks;
       if (!c->satisfied_fast(ctx.int_values.data())) {
         ok = false;
         break;
@@ -195,7 +195,7 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
     }
     if (ok) {
       for (const Constraint* c : group.check_at[depth]) {
-        ++ctx.checks;
+        ++ctx.effort.constraint_checks;
         if (!c->satisfied(ctx.values.data())) {
           ok = false;
           break;
@@ -227,7 +227,6 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
 
   const bool use_parallel = parallel_enabled_ && !interpreter_overhead_;
   const std::size_t workers = use_parallel ? parallel_.resolve_threads() : 1;
-  std::uint64_t nodes = 0, checks = 0, fast_checks = 0;
 
   if (use_parallel) {
     // One task per chain block subtree: each root value of each group's tree
@@ -264,11 +263,7 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
     result.stats.parallel_tasks += root_tasks.size();
     result.stats.parallel_workers =
         static_cast<std::uint32_t>(scheduler.workers());
-    for (const BuildCtx& ctx : ctxs) {
-      nodes += ctx.nodes;
-      checks += ctx.checks;
-      fast_checks += ctx.fast_checks;
-    }
+    for (const BuildCtx& ctx : ctxs) result.stats += ctx.effort;
     std::size_t t = 0;
     for (GroupBuild& group : groups) {
       const csp::Domain& dom = problem.domain(group.vars[0]);
@@ -288,17 +283,12 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
       }
       if (group.roots.empty()) break;  // one empty group empties the chain
     }
-    nodes = ctx.nodes;
-    checks = ctx.checks;
-    fast_checks = ctx.fast_checks;
+    result.stats += ctx.effort;
   }
 
   for (const GroupBuild& group : groups) {
     if (group.roots.empty()) {
       // One empty group empties the whole chain.
-      result.stats.nodes = nodes;
-      result.stats.constraint_checks = checks;
-      result.stats.fast_checks = fast_checks;
       result.stats.search_seconds = timer.seconds();
       return result;
     }
@@ -393,9 +383,6 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
       advance(pick);
     }
   }
-  result.stats.nodes = nodes;
-  result.stats.constraint_checks = checks;
-  result.stats.fast_checks = fast_checks;
   result.stats.search_seconds = timer.seconds();
   return result;
 }

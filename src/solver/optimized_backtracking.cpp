@@ -19,12 +19,7 @@ SolveResult OptimizedBacktracking::solve(csp::Problem& problem) const {
   timer.reset();
   detail::BacktrackingEngine engine(plan, 0, plan.domains[plan.order[0]].size());
   while (engine.next()) result.solutions.append(engine.row().data());
-  result.stats.nodes = engine.nodes();
-  result.stats.constraint_checks = engine.constraint_checks();
-  result.stats.fast_checks = engine.fast_checks();
-  result.stats.prunes += engine.prunes();  // += : preprocessing counted some
-  result.stats.block_checks = engine.block_checks();
-  result.stats.block_lanes = engine.block_lanes();
+  result.stats += engine.effort();  // on top of the preprocessing prunes
   result.stats.search_seconds = timer.seconds();
   return result;
 }

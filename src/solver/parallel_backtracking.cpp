@@ -60,12 +60,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     // No prefix to split on: a single-variable search is one flat scan.
     detail::BacktrackingEngine engine(plan, 0, plan.domains[plan.order[0]].size());
     while (engine.next()) result.solutions.append(engine.row().data());
-    result.stats.nodes = engine.nodes();
-    result.stats.constraint_checks = engine.constraint_checks();
-    result.stats.fast_checks = engine.fast_checks();
-    result.stats.prunes += engine.prunes();
-    result.stats.block_checks = engine.block_checks();
-    result.stats.block_lanes = engine.block_lanes();
+    result.stats += engine.effort();
     result.stats.parallel_tasks = 1;
     result.stats.parallel_workers = 1;
     result.stats.search_seconds = timer.seconds();
@@ -99,12 +94,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
       ++depth;
       continue;
     }
-    result.stats.nodes += expander.nodes();
-    result.stats.constraint_checks += expander.constraint_checks();
-    result.stats.fast_checks += expander.fast_checks();
-    result.stats.prunes += expander.prunes();
-    result.stats.block_checks += expander.block_checks();
-    result.stats.block_lanes += expander.block_lanes();
+    result.stats += expander.effort();
     break;
   }
   const std::size_t num_tasks = prefixes.size() / depth;
@@ -126,8 +116,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   struct WorkerShard {
     SolutionSet solutions;
     std::vector<Segment> segments;
-    std::uint64_t nodes = 0, checks = 0, fast_checks = 0, prunes = 0;
-    std::uint64_t block_checks = 0, block_lanes = 0;
+    SolveStats effort;
   };
 
   detail::WorkStealingScheduler scheduler(num_tasks, workers, parallel_.steal);
@@ -142,12 +131,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     while (engine.next()) shard.solutions.append(engine.row().data());
     shard.segments.push_back(Segment{task, static_cast<std::uint32_t>(w), begin,
                                      shard.solutions.size() - begin});
-    shard.nodes += engine.nodes();
-    shard.checks += engine.constraint_checks();
-    shard.fast_checks += engine.fast_checks();
-    shard.prunes += engine.prunes();
-    shard.block_checks += engine.block_checks();
-    shard.block_lanes += engine.block_lanes();
+    shard.effort += engine.effort();
   });
   result.stats.parallel_workers = static_cast<std::uint32_t>(scheduler.workers());
 
@@ -156,12 +140,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   segments.reserve(num_tasks);
   for (const WorkerShard& shard : shards) {
     segments.insert(segments.end(), shard.segments.begin(), shard.segments.end());
-    result.stats.nodes += shard.nodes;
-    result.stats.constraint_checks += shard.checks;
-    result.stats.fast_checks += shard.fast_checks;
-    result.stats.prunes += shard.prunes;
-    result.stats.block_checks += shard.block_checks;
-    result.stats.block_lanes += shard.block_lanes;
+    result.stats += shard.effort;
   }
   std::sort(segments.begin(), segments.end(),
             [](const Segment& a, const Segment& b) { return a.rank < b.rank; });

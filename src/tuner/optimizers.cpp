@@ -33,9 +33,9 @@ std::unique_ptr<Optimizer> make_optimizer(const std::string& name) {
 using searchspace::NeighborMethod;
 using searchspace::SubSpace;
 
-void RandomSearch::run(EvalContext& ctx) {
+Task RandomSearch::run(EvalContext& ctx) {
   const std::size_t n = ctx.space.size();
-  if (n == 0) return;
+  if (n == 0) co_return;
   // Shuffled sweep = sampling without replacement, with the Fisher–Yates
   // permutation generated incrementally: position i draws its element from
   // the not-yet-visited suffix, and only displaced suffix entries live in
@@ -47,19 +47,19 @@ void RandomSearch::run(EvalContext& ctx) {
     return it == displaced.end() ? k : it->second;
   };
   for (std::size_t i = 0; i < n; ++i) {
-    if (ctx.exhausted()) return;
+    if (ctx.exhausted()) co_return;
     const std::size_t j = i + ctx.rng->index(n - i);
     const std::size_t pick = slot(j);
     displaced[j] = slot(i);
     displaced.erase(i);  // positions < i are never drawn again
-    ctx.evaluate(pick);
+    co_await ctx.evaluate(pick);
   }
 }
 
-void GeneticAlgorithm::run(EvalContext& ctx) {
+Task GeneticAlgorithm::run(EvalContext& ctx) {
   const SubSpace& space = ctx.space;
   const std::size_t n = space.size();
-  if (n == 0) return;
+  if (n == 0) co_return;
   const std::size_t pop_size = std::min(params_.population, n);
 
   struct Member {
@@ -68,8 +68,9 @@ void GeneticAlgorithm::run(EvalContext& ctx) {
   };
   std::vector<Member> population;
   for (std::size_t row : searchspace::random_sample(space, pop_size, *ctx.rng)) {
-    if (ctx.exhausted()) return;
-    population.push_back({row, ctx.evaluate(row)});
+    if (ctx.exhausted()) co_return;
+    const double fitness = co_await ctx.evaluate(row);
+    population.push_back({row, fitness});
   }
 
   auto tournament_pick = [&]() -> const Member& {
@@ -105,18 +106,19 @@ void GeneticAlgorithm::run(EvalContext& ctx) {
         auto neigh = searchspace::neighbors_of(space, row, NeighborMethod::Hamming1);
         if (!neigh.empty()) row = neigh[ctx.rng->index(neigh.size())];
       }
-      next.push_back({row, ctx.evaluate(row)});
+      const double fitness = co_await ctx.evaluate(row);
+      next.push_back({row, fitness});
     }
     population = std::move(next);
   }
 }
 
-void SimulatedAnnealing::run(EvalContext& ctx) {
+Task SimulatedAnnealing::run(EvalContext& ctx) {
   const SubSpace& space = ctx.space;
-  if (space.empty()) return;
+  if (space.empty()) co_return;
   std::size_t current = ctx.rng->index(space.size());
-  if (ctx.exhausted()) return;
-  double current_perf = ctx.evaluate(current);
+  if (ctx.exhausted()) co_return;
+  double current_perf = co_await ctx.evaluate(current);
   double temperature = params_.initial_temperature * std::max(current_perf, 1.0);
 
   while (!ctx.exhausted()) {
@@ -124,11 +126,11 @@ void SimulatedAnnealing::run(EvalContext& ctx) {
     if (neigh.empty()) {
       // Isolated configuration: restart from a random point.
       current = ctx.rng->index(space.size());
-      current_perf = ctx.evaluate(current);
+      current_perf = co_await ctx.evaluate(current);
       continue;
     }
     const std::size_t cand = neigh[ctx.rng->index(neigh.size())];
-    const double cand_perf = ctx.evaluate(cand);
+    const double cand_perf = co_await ctx.evaluate(cand);
     const double delta = cand_perf - current_perf;
     if (delta >= 0 ||
         ctx.rng->uniform() < std::exp(delta / std::max(temperature, 1e-9))) {
@@ -139,17 +141,17 @@ void SimulatedAnnealing::run(EvalContext& ctx) {
     if (temperature < 1e-6) {
       // Reheat with a random restart to keep exploring within the budget.
       current = ctx.rng->index(space.size());
-      current_perf = ctx.evaluate(current);
+      current_perf = co_await ctx.evaluate(current);
       temperature = params_.initial_temperature * std::max(current_perf, 1.0);
     }
   }
 }
 
-void DifferentialEvolution::run(EvalContext& ctx) {
+Task DifferentialEvolution::run(EvalContext& ctx) {
   const SubSpace& space = ctx.space;
   const std::size_t n = space.size();
   const std::size_t d = space.num_params();
-  if (n == 0) return;
+  if (n == 0) co_return;
   const std::size_t pop_size = std::min(std::max<std::size_t>(4, params_.population), n);
 
   // Work in "present-value position" coordinates per parameter, so the
@@ -167,8 +169,9 @@ void DifferentialEvolution::run(EvalContext& ctx) {
   };
   std::vector<Member> population;
   for (std::size_t row : searchspace::random_sample(space, pop_size, *ctx.rng)) {
-    if (ctx.exhausted()) return;
-    population.push_back({row, ctx.evaluate(row)});
+    if (ctx.exhausted()) co_return;
+    const double fitness = co_await ctx.evaluate(row);
+    population.push_back({row, fitness});
   }
 
   std::vector<std::uint32_t> candidate(d);
@@ -196,24 +199,19 @@ void DifferentialEvolution::run(EvalContext& ctx) {
         }
       }
       const std::size_t row = searchspace::snap_to_valid(space, candidate);
-      const double fitness = ctx.evaluate(row);
+      const double fitness = co_await ctx.evaluate(row);
       if (fitness > population[i].fitness) population[i] = {row, fitness};
     }
   }
 }
 
-void Nsga2::run(EvalContext& ctx) {
+Task Nsga2::run(EvalContext& ctx) {
   const SubSpace& space = ctx.space;
   const std::size_t n = space.size();
   const std::size_t d = space.num_params();
-  if (n == 0) return;
+  if (n == 0) co_return;
   const ObjectiveSpec fallback_spec;  // legacy single objective
   const ObjectiveSpec& spec = ctx.objectives ? *ctx.objectives : fallback_spec;
-  const auto measure = [&ctx](std::size_t row) {
-    // Hand-rolled contexts may lack the vector channel; the scalar is then
-    // the whole vector (its gflops component).
-    return ctx.measure ? ctx.measure(row) : Measurement{ctx.evaluate(row), 0.0};
-  };
   const std::size_t pop_size =
       std::min(std::max<std::size_t>(4, params_.population), n);
 
@@ -295,8 +293,9 @@ void Nsga2::run(EvalContext& ctx) {
 
   std::vector<Member> population;
   for (std::size_t row : searchspace::random_sample(space, pop_size, *ctx.rng)) {
-    if (ctx.exhausted()) return;
-    population.push_back({row, measure(row), 0, 0});
+    if (ctx.exhausted()) co_return;
+    const Measurement m = co_await ctx.measure(row);
+    population.push_back({row, m, 0, 0});
   }
   rank_and_crowd(population);
 
@@ -329,7 +328,8 @@ void Nsga2::run(EvalContext& ctx) {
             searchspace::neighbors_of(space, row, NeighborMethod::Hamming1);
         if (!neigh.empty()) row = neigh[ctx.rng->index(neigh.size())];
       }
-      combined.push_back({row, measure(row), 0, 0});
+      const Measurement m = co_await ctx.measure(row);
+      combined.push_back({row, m, 0, 0});
     }
     // Environmental selection: survivors by (front, crowding), elitist over
     // parents + offspring; stable_sort keeps insertion order on exact ties.
@@ -344,19 +344,19 @@ void Nsga2::run(EvalContext& ctx) {
   }
 }
 
-void HillClimber::run(EvalContext& ctx) {
+Task HillClimber::run(EvalContext& ctx) {
   const SubSpace& space = ctx.space;
-  if (space.empty()) return;
+  if (space.empty()) co_return;
   while (!ctx.exhausted()) {
     std::size_t current = ctx.rng->index(space.size());
-    double current_perf = ctx.evaluate(current);
+    double current_perf = co_await ctx.evaluate(current);
     bool improved = true;
     while (improved && !ctx.exhausted()) {
       improved = false;
       for (std::size_t cand :
            searchspace::neighbors_of(space, current, NeighborMethod::Adjacent)) {
-        if (ctx.exhausted()) return;
-        const double perf = ctx.evaluate(cand);
+        if (ctx.exhausted()) co_return;
+        const double perf = co_await ctx.evaluate(cand);
         if (perf > current_perf) {
           current = cand;
           current_perf = perf;

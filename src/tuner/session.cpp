@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <condition_variable>
 #include <cstdio>
 #include <future>
+#include <mutex>
 #include <string_view>
 #include <thread>
+#include <utility>
 
 #include "tunespace/util/timer.hpp"
 
@@ -122,26 +123,121 @@ std::vector<std::pair<std::uint64_t, Measurement>> SharedEvalCache::entries_for(
 }
 
 // ---------------------------------------------------------------------------
+// PortfolioRace: the scheduler portfolio members hand the turn back to
+// ---------------------------------------------------------------------------
+
+/// Runs the portfolio members as suspended sessions on one thread, always
+/// resuming the unfinished member with the smallest (virtual clock, member
+/// index).  A member keeps the turn while its clock stays the minimum and
+/// hands it back from inside the evaluation request that moves its clock
+/// past another member's (SessionStepper::holds_turn), so every shared-best
+/// update and every early-stop check happens in virtual-time order: the
+/// whole race is a pure function of the root seed.
+class PortfolioRace {
+ public:
+  explicit PortfolioRace(const PortfolioOptions& options) : options_(options) {}
+
+  /// Race every member to completion; returns their runs in member order.
+  std::vector<TuningRun> run(const searchspace::SubSpace& view,
+                             const PerformanceModel& model,
+                             const std::vector<std::unique_ptr<Optimizer>>& optimizers,
+                             const std::vector<std::uint64_t>& seeds,
+                             SharedEvalCache* cache, std::uint64_t cache_fp) {
+    const std::size_t n = optimizers.size();
+    const double construction = view.parent().construction_seconds();
+    const auto cost = [&model](const Measurement& m) {
+      return model.evaluation_cost(m.gflops);
+    };
+    std::vector<std::unique_ptr<SessionStepper>> members;
+    for (std::size_t m = 0; m < n; ++m) {
+      TuningOptions member_options = options_.base;
+      member_options.seed = seeds[m];
+      members.push_back(std::unique_ptr<SessionStepper>(new SessionStepper(
+          view, "portfolio:" + optimizers[m]->name(), construction,
+          *optimizers[m], member_options, cost, cache, cache_fp, nullptr, this,
+          m)));
+      clocks_.push_back(members[m]->now());
+      active_.push_back(members[m]->finished() ? 0 : 1);
+    }
+    last_improvement_ = clocks_.front();
+
+    for (std::size_t m = next(); m < n; m = next()) {
+      SessionStepper& member = *members[m];
+      if (member.pending_) {
+        const std::optional<Suggestion> ask = member.suggest();
+        member.report(model.measure(member.param_names(), ask->config));
+      } else {
+        member.resume();
+      }
+      if (member.finished()) active_[m] = 0;
+    }
+
+    std::vector<TuningRun> runs;
+    for (const auto& member : members) runs.push_back(member->take_run());
+    return runs;
+  }
+
+  /// Publish member `m`'s clock; true while it still holds the turn.
+  bool holds_turn(std::size_t m, double now) {
+    clocks_[m] = now;
+    return stopped_ || next() == m;
+  }
+
+  /// The shared early-stop predicate, evaluated by the turn holder at its
+  /// clock `now`, so it sees exactly the evaluations that precede it in
+  /// virtual order.
+  bool should_stop(double now) {
+    stopped_ = stopped_ ||
+               (options_.target_gflops > 0 && best_ >= options_.target_gflops) ||
+               (options_.stall_seconds > 0 &&
+                now - last_improvement_ > options_.stall_seconds);
+    return stopped_;
+  }
+
+  /// Publish one evaluation (made by the turn holder, so calls arrive in
+  /// virtual-time order).
+  void record(double score, double now) {
+    if (score > best_) {
+      best_ = score;
+      last_improvement_ = now;
+    }
+  }
+
+  bool early_stopped() const { return stopped_; }
+
+ private:
+  /// The unfinished member with the smallest (clock, index); size() if none.
+  std::size_t next() const {
+    std::size_t best = clocks_.size();
+    for (std::size_t j = 0; j < clocks_.size(); ++j) {
+      if (active_[j] && (best == clocks_.size() || clocks_[j] < clocks_[best])) {
+        best = j;
+      }
+    }
+    return best;
+  }
+
+  const PortfolioOptions& options_;
+  std::vector<double> clocks_;
+  std::vector<std::uint8_t> active_;
+  double best_ = 0;
+  double last_improvement_ = 0;
+  bool stopped_ = false;  ///< an early-stop rule fired
+};
+
+// ---------------------------------------------------------------------------
 // SessionStepper: the session core as a resumable ask/tell state machine
 // ---------------------------------------------------------------------------
 //
-// The optimizers are push-style (they call ctx.evaluate in a loop), so the
-// inversion runs the optimizer unchanged on a private worker thread and
-// turns each un-memoized, un-cached evaluation request into a rendezvous:
-// the worker parks in yield_ask and the request surfaces through suggest();
-// report() delivers the measurement and resumes the worker until it parks
-// at the next request or returns.  Every public call leaves the worker
-// parked or finished (the quiescence invariant), so the driver-side reads
-// of the clock, run and best-so-far never race — the mutex hand-offs at
-// each park/resume establish the ordering.
-
-namespace {
-
-/// Thrown through the optimizer's run() to unwind it on cancel(); never
-/// escapes the worker function.
-struct AbortStepper {};
-
-}  // namespace
+// The optimizer coroutine runs nested inside session(), which first charges
+// any warm-start seeds.  Every evaluation request lands in request(): memo
+// hits, spent budgets and shared-cache hits are answered on the spot and
+// the optimizer runs on without suspending; anything else becomes pending_
+// and suspends it.  report() charges the answer and resumes the innermost
+// suspended frame on the caller's thread until the next ask or completion,
+// so every public call returns with the session suspended or finished.  In
+// a portfolio race an answered request also suspends when the member no
+// longer holds the turn (holds_turn()); the race resumes it later.
 
 SessionStepper::SessionStepper(searchspace::SubSpace view,
                                std::string method_name,
@@ -149,7 +245,23 @@ SessionStepper::SessionStepper(searchspace::SubSpace view,
                                const TuningOptions& options, CostFn cost,
                                SharedEvalCache* shared_cache,
                                std::uint64_t cache_fingerprint,
-                               SessionStats* stats, SessionHooks hooks)
+                               SessionStats* stats)
+    : SessionStepper(std::move(view), std::move(method_name),
+                     construction_seconds, optimizer, options, std::move(cost),
+                     shared_cache, cache_fingerprint, stats, nullptr, 0) {
+  // Run the optimizer up to its first evaluation request (or completion) so
+  // the session is suspended when the constructor returns.
+  if (!finished_) resume();
+}
+
+SessionStepper::SessionStepper(searchspace::SubSpace view,
+                               std::string method_name,
+                               double construction_seconds, Optimizer& optimizer,
+                               const TuningOptions& options, CostFn cost,
+                               SharedEvalCache* shared_cache,
+                               std::uint64_t cache_fingerprint,
+                               SessionStats* stats, PortfolioRace* race,
+                               std::size_t member)
     : view_(std::move(view)),
       options_(options),
       optimizer_(&optimizer),
@@ -157,8 +269,10 @@ SessionStepper::SessionStepper(searchspace::SubSpace view,
       shared_cache_(shared_cache),
       cache_fingerprint_(cache_fingerprint),
       stats_(stats),
-      hooks_(std::move(hooks)),
-      rng_(options.seed) {
+      race_(race),
+      member_(member),
+      rng_(options.seed),
+      ctx_{view_, {}, [this] { return exhausted(); }, &rng_, &options_.objectives} {
   run_.method_name = std::move(method_name);
   run_.budget_seconds = options_.budget_seconds;
   run_.objectives = options_.objectives;
@@ -174,123 +288,79 @@ SessionStepper::SessionStepper(searchspace::SubSpace view,
   }
 
   if (clock_.now() >= options_.budget_seconds || view_.empty()) {
-    done_ = true;  // budget consumed before the first configuration
-    finalize();
+    finish();  // budget consumed before the first configuration
     return;
   }
+  ctx_.on_surrogate_refit = [this] {
+    if (stats_) stats_->surrogate_refits++;
+  };
+  ctx_.channel = this;
+  session_ = session();
+  parked_ = session_.handle();
+}
 
+Task SessionStepper::session() {
   // Warm start (opt-in): charge the cache's best rows for this fingerprint
-  // as the session's first evaluations, before the optimizer exists.  Every
+  // as the session's first evaluations, before the optimizer starts.  Every
   // seed is a guaranteed cache hit (the entry was just enumerated and the
-  // cache never evicts), so measure_row never reaches the rendezvous and
-  // this runs safely on the constructor thread.  With the option off or the
+  // cache never evicts), charged through the normal request flow (overhead,
+  // evaluation cost, trajectory, front) exactly like an optimizer-requested
+  // row, so seeding never waits on the driver.  With the option off or the
   // cache cold this is a no-op — no clock charge, no Rng draw — keeping the
   // session bit-identical to a cold run.
-  seed_from_cache();
-  if (clock_.now() >= options_.budget_seconds) {
-    done_ = true;  // the seeds consumed the whole budget
-    finalize();
-    return;
-  }
-
-  worker_ = std::thread([this] {
-    try {
-      EvalContext ctx{
-          view_,
-          /*evaluate=*/[this](std::size_t row) { return evaluate(row); },
-          /*exhausted=*/
-          [this] {
-            return abort_.load(std::memory_order_relaxed) ||
-                   clock_.now() >= options_.budget_seconds ||
-                   (hooks_.stop && hooks_.stop(clock_.now()));
-          },
-          &rng_,
-          /*measure=*/[this](std::size_t row) { return measure_row(row); },
-          /*objectives=*/&options_.objectives};
-      ctx.seeded = seeded_.empty() ? nullptr : &seeded_;
-      ctx.on_surrogate_refit = [this] {
-        if (stats_) stats_->surrogate_refits++;
-      };
-      optimizer_->run(ctx);
-    } catch (const AbortStepper&) {
-      // cancel() unwinding the optimizer: not an error.
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      worker_error_ = std::current_exception();
+  if (options_.warm_start && shared_cache_ != nullptr &&
+      options_.warm_start_top_k > 0) {
+    struct Seed {
+      double score;
+      std::size_t local;
+    };
+    std::vector<Seed> seeds;
+    for (const auto& [parent_row, measurement] :
+         shared_cache_->entries_for(cache_fingerprint_)) {
+      if (const auto local = view_.local_of(parent_row)) {
+        seeds.push_back({options_.objectives.scalarize(measurement), *local});
+      }
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    done_ = true;
-    cv_.notify_all();
-  });
-
-  // Run the optimizer up to its first evaluation request (or completion) so
-  // the machine is quiescent when the constructor returns.
-  std::unique_lock<std::mutex> lock(mutex_);
-  wait_parked(lock);
-  if (done_) {
-    lock.unlock();
-    finalize();
-  }
-}
-
-SessionStepper::~SessionStepper() {
-  // Swallow a pending optimizer error: destruction is not a query.
-  try {
-    cancel();
-  } catch (...) {
-  }
-}
-
-void SessionStepper::wait_parked(std::unique_lock<std::mutex>& lock) {
-  cv_.wait(lock, [this] { return pending_.has_value() || done_; });
-}
-
-double SessionStepper::evaluate(std::size_t row) {
-  return options_.objectives.scalarize(measure_row(row));
-}
-
-void SessionStepper::seed_from_cache() {
-  if (!options_.warm_start || shared_cache_ == nullptr ||
-      options_.warm_start_top_k == 0) {
-    return;
-  }
-  struct Seed {
-    double score;
-    std::size_t local;
-  };
-  std::vector<Seed> seeds;
-  for (const auto& [parent_row, measurement] :
-       shared_cache_->entries_for(cache_fingerprint_)) {
-    if (const auto local = view_.local_of(parent_row)) {
-      seeds.push_back({options_.objectives.scalarize(measurement), *local});
+    // entries_for returns rows ascending and the sort is stable, so ties
+    // break by ascending row — the documented deterministic seeding order.
+    std::stable_sort(seeds.begin(), seeds.end(),
+                     [](const Seed& a, const Seed& b) { return a.score > b.score; });
+    if (seeds.size() > options_.warm_start_top_k) {
+      seeds.resize(options_.warm_start_top_k);
     }
+    for (const Seed& seed : seeds) {
+      if (clock_.now() >= options_.budget_seconds) break;
+      const std::uint64_t before = run_.evaluations;
+      const Measurement measured = co_await ctx_.measure(seed.local);
+      if (run_.evaluations == before) break;  // the overhead drained the budget
+      seeded_.emplace_back(seed.local, measured);
+      if (stats_) stats_->seeded_rows++;
+    }
+    if (clock_.now() >= options_.budget_seconds) co_return;  // seeds spent it all
   }
-  // entries_for returns rows ascending and the sort is stable, so ties
-  // break by ascending row — the documented deterministic seeding order.
-  std::stable_sort(seeds.begin(), seeds.end(),
-                   [](const Seed& a, const Seed& b) { return a.score > b.score; });
-  if (seeds.size() > options_.warm_start_top_k) {
-    seeds.resize(options_.warm_start_top_k);
-  }
-  for (const Seed& seed : seeds) {
-    if (clock_.now() >= options_.budget_seconds) break;
-    // A guaranteed cache hit: charged through the normal request flow
-    // (overhead, evaluation cost, trajectory, front), exactly like an
-    // optimizer-requested row.
-    const std::uint64_t before = run_.evaluations;
-    const Measurement measured = measure_row(seed.local);
-    if (run_.evaluations == before) break;  // the overhead drained the budget
-    seeded_.emplace_back(seed.local, measured);
-    if (stats_) stats_->seeded_rows++;
-  }
+  if (!seeded_.empty()) ctx_.seeded = &seeded_;
+  co_await optimizer_->run(ctx_);
 }
 
-Measurement SessionStepper::measure_row(std::size_t row) {
-  if (hooks_.before_request) hooks_.before_request(clock_.now());
+bool SessionStepper::exhausted() {
+  return clock_.now() >= options_.budget_seconds ||
+         (race_ != nullptr && race_->should_stop(clock_.now()));
+}
+
+bool SessionStepper::holds_turn() {
+  return race_ == nullptr || race_->holds_turn(member_, clock_.now());
+}
+
+bool SessionStepper::request(std::size_t row, Measurement* out) {
   clock_.advance(options_.overhead_per_request);
-  const auto it = memo_.find(row);
-  if (it != memo_.end()) return it->second;  // memoized: overhead only
-  if (clock_.now() >= options_.budget_seconds) return Measurement{};
+  if (const auto it = memo_.find(row); it != memo_.end()) {
+    *out = it->second;  // memoized: overhead only
+    return holds_turn();
+  }
+  if (clock_.now() >= options_.budget_seconds) {
+    *out = Measurement{};
+    return holds_turn();
+  }
   // Cross-session sharing: the measurements are deterministic per
   // (space, model, objective-set) fingerprint, so a cached vector is
   // bit-identical to a fresh one and sharing only skips measurement work —
@@ -298,29 +368,24 @@ Measurement SessionStepper::measure_row(std::size_t row) {
   // are charged either way, keeping a session's TuningRun independent of
   // who measured first.
   const std::uint64_t parent_row = view_.parent_row(row);
-  Measurement measured;
-  double cost_seconds;
-  const std::optional<Measurement> cached =
-      shared_cache_ ? shared_cache_->lookup(cache_fingerprint_, parent_row)
-                    : std::nullopt;
-  if (cached) {
-    measured = *cached;  // inserted masked, under the same objective set
-    cost_seconds = cost_(measured);
+  if (const std::optional<Measurement> cached =
+          shared_cache_ ? shared_cache_->lookup(cache_fingerprint_, parent_row)
+                        : std::nullopt) {
+    // Inserted masked, under the same objective set.
     if (stats_) stats_->shared_cache_hits++;
-  } else {
-    const Reply reply = yield_ask({row, parent_row, view_.config(row)});
-    // Mask to the session's objective set *before* any session state sees
-    // the vector: a session only records what it asked to measure, which
-    // is what keeps closed-loop, ask/tell and v1-wire replays of the same
-    // session bit-identical.
-    measured = options_.objectives.mask(reply.measurement);
-    cost_seconds =
-        reply.cost_seconds >= 0 ? reply.cost_seconds : cost_(measured);
-    if (stats_) stats_->model_evaluations++;
-    if (shared_cache_) {
-      shared_cache_->insert(cache_fingerprint_, parent_row, measured);
-    }
+    *out = charge(row, parent_row, *cached, cost_(*cached));
+    return holds_turn();
   }
+  pending_ = Suggestion{row, parent_row, view_.config(row)};
+  reply_ = out;
+  return false;
+}
+
+void SessionStepper::suspended(std::coroutine_handle<> frame) { parked_ = frame; }
+
+Measurement SessionStepper::charge(std::size_t row, std::uint64_t parent_row,
+                                   const Measurement& measured,
+                                   double cost_seconds) {
   clock_.advance(cost_seconds);
   memo_.emplace(row, measured);
   run_.evaluations++;
@@ -334,7 +399,7 @@ Measurement SessionStepper::measure_row(std::size_t row) {
         {clock_.now(), measured.gflops, run_.evaluations, measured});
     best_ = Suggestion{row, parent_row, view_.config(row)};
   }
-  if (hooks_.on_eval) hooks_.on_eval(row, score, clock_.now());
+  if (race_) race_->record(score, clock_.now());
   return measured;
 }
 
@@ -354,35 +419,15 @@ void SessionStepper::update_front(std::size_t row, std::uint64_t parent_row,
                         measurement, clock_.now(), run_.evaluations});
 }
 
-SessionStepper::Reply SessionStepper::yield_ask(Suggestion ask) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (abort_.load(std::memory_order_relaxed)) throw AbortStepper{};
-  pending_ = std::move(ask);
-  cv_.notify_all();
-  cv_.wait(lock, [this] {
-    return resume_ || abort_.load(std::memory_order_relaxed);
-  });
-  if (abort_.load(std::memory_order_relaxed)) throw AbortStepper{};
-  resume_ = false;
-  return reply_;
-}
-
 std::optional<Suggestion> SessionStepper::suggest() {
   if (finished_) return std::nullopt;
   if (awaiting_report_) {
     throw ServiceError(ErrorCode::kWrongState,
                        "suggest() while a report is outstanding");
   }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    wait_parked(lock);
-    if (pending_) {
-      awaiting_report_ = true;
-      return *pending_;
-    }
-  }
-  finalize();  // the optimizer returned: budget exhausted or space swept
-  return std::nullopt;
+  // The constructor and report() run a live session to its next ask.
+  awaiting_report_ = true;
+  return pending_;
 }
 
 void SessionStepper::report(double gflops, double measure_seconds) {
@@ -399,46 +444,42 @@ void SessionStepper::report(const Measurement& measurement,
     throw ServiceError(ErrorCode::kWrongState,
                        "report() without an outstanding suggestion");
   }
-  bool completed = false;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    reply_ = {measurement, measure_seconds};
-    pending_.reset();
-    resume_ = true;
-    awaiting_report_ = false;
-    cv_.notify_all();
-    wait_parked(lock);  // resume until the next ask (or completion)
-    completed = done_ && !pending_;
-  }
-  if (completed) finalize();
+  // Mask to the session's objective set *before* any session state sees the
+  // vector: a session only records what it asked to measure, which is what
+  // keeps closed-loop, ask/tell and v1-wire replays of the same session
+  // bit-identical.
+  const Measurement measured = options_.objectives.mask(measurement);
+  const double cost_seconds =
+      measure_seconds >= 0 ? measure_seconds : cost_(measured);
+  const std::size_t row = pending_->row;
+  const std::uint64_t parent_row = pending_->parent_row;
+  pending_.reset();
+  awaiting_report_ = false;
+  if (stats_) stats_->model_evaluations++;
+  if (shared_cache_) shared_cache_->insert(cache_fingerprint_, parent_row, measured);
+  *reply_ = charge(row, parent_row, measured, cost_seconds);
+  if (holds_turn()) resume();
+}
+
+void SessionStepper::resume() {
+  std::exchange(parked_, {}).resume();
+  if (session_.done()) finish();
+}
+
+void SessionStepper::finish() {
+  finished_ = true;
+  if (stats_) stats_->session_seconds = wall_.seconds();
+  const Task done = std::move(session_);
+  done.rethrow();
 }
 
 void SessionStepper::cancel() {
   if (finished_) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    abort_.store(true, std::memory_order_relaxed);
-    cv_.notify_all();
-  }
+  session_ = Task{};  // destroys the suspended frames
+  parked_ = {};
+  pending_.reset();
   awaiting_report_ = false;
-  // The partial run is the requested outcome; an optimizer error surfacing
-  // during teardown is reported to no one.
-  try {
-    finalize();
-  } catch (...) {
-  }
-}
-
-void SessionStepper::finalize() {
-  if (finished_) return;
-  if (worker_.joinable()) worker_.join();
-  finished_ = true;
-  if (stats_) stats_->session_seconds = wall_.seconds();
-  if (worker_error_) {
-    std::exception_ptr error = worker_error_;
-    worker_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
+  finish();
 }
 
 TuningRun SessionStepper::take_run() {
@@ -472,8 +513,7 @@ TuningRun run_session_over(const searchspace::SubSpace& view,
   SessionStepper stepper(
       view, method_name, construction_seconds, optimizer, request.options,
       [&model](const Measurement& m) { return model.evaluation_cost(m.gflops); },
-      request.shared_cache, request.cache_fingerprint, request.stats,
-      request.hooks);
+      request.shared_cache, request.cache_fingerprint, request.stats);
   while (std::optional<Suggestion> ask = stepper.suggest()) {
     stepper.report(model.measure(stepper.param_names(), ask->config));
   }
@@ -543,24 +583,6 @@ SessionRequest make_session_request(const searchspace::SubSpace& view,
   request.view = view;
   request.method_name = method_name;
   return request;
-}
-
-TuningRun run_session_loop(const searchspace::SubSpace& view,
-                           const std::string& method_name,
-                           double construction_seconds,
-                           const PerformanceModel& model, Optimizer& optimizer,
-                           const TuningOptions& options,
-                           SharedEvalCache* shared_cache,
-                           std::uint64_t cache_fingerprint, SessionStats* stats,
-                           const SessionHooks& hooks) {
-  SessionRequest request =
-      make_session_request(view, model, optimizer, options, method_name);
-  request.construction_seconds = construction_seconds;
-  request.shared_cache = shared_cache;
-  request.cache_fingerprint = cache_fingerprint;
-  request.stats = stats;
-  request.hooks = hooks;
-  return run_session(request);
 }
 
 // ---------------------------------------------------------------------------
@@ -715,97 +737,8 @@ std::vector<SessionResult> SessionManager::run_all(
 }
 
 // ---------------------------------------------------------------------------
-// Portfolio: deterministic lockstep race
+// Portfolio
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Serializes portfolio evaluations in virtual-time order: a member may
-/// perform its next evaluation request only when its virtual clock is the
-/// minimum over all still-active members (ties broken by member index).
-/// Every shared-state read and write happens at such a turn boundary, so
-/// the whole race — shared best, stall rule, member trajectories — is a
-/// pure function of the root seed, independent of thread scheduling.
-class LockstepRace {
- public:
-  LockstepRace(std::size_t members, double start_clock,
-               const PortfolioOptions& options)
-      : options_(options),
-        clocks_(members, start_clock),
-        active_(members, 1),
-        last_improvement_(start_clock) {}
-
-  /// Block until member `m` (at virtual time `now`) holds the turn.
-  void wait_turn(std::size_t m, double now) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    clocks_[m] = now;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return stopped_ || holds_turn(m); });
-  }
-
-  /// The shared early-stop predicate, evaluated at member `m`'s turn so the
-  /// answer only depends on evaluations that precede (now, m) in virtual
-  /// order.
-  bool should_stop(std::size_t m, double now) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    clocks_[m] = now;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return stopped_ || holds_turn(m); });
-    if (stopped_) return true;
-    if (options_.target_gflops > 0 && best_ >= options_.target_gflops) {
-      stopped_ = early_stopped_ = true;
-    } else if (options_.stall_seconds > 0 &&
-               now - last_improvement_ > options_.stall_seconds) {
-      stopped_ = early_stopped_ = true;
-    }
-    if (stopped_) cv_.notify_all();
-    return stopped_;
-  }
-
-  /// Publish one evaluation (caller holds the turn, so calls arrive in
-  /// virtual-time order).
-  void record(double gflops, double now) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (gflops > best_) {
-      best_ = gflops;
-      last_improvement_ = now;
-    }
-  }
-
-  void finish(std::size_t m) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    active_[m] = 0;
-    cv_.notify_all();
-  }
-
-  bool early_stopped() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return early_stopped_;
-  }
-
- private:
-  bool holds_turn(std::size_t m) const {
-    for (std::size_t j = 0; j < clocks_.size(); ++j) {
-      if (j == m || !active_[j]) continue;
-      if (clocks_[j] < clocks_[m] || (clocks_[j] == clocks_[m] && j < m)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  const PortfolioOptions& options_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<double> clocks_;
-  std::vector<std::uint8_t> active_;
-  double best_ = 0;
-  double last_improvement_ = 0;
-  bool stopped_ = false;
-  bool early_stopped_ = false;
-};
-
-}  // namespace
 
 PortfolioResult run_portfolio(const searchspace::SubSpace& view,
                               const PerformanceModel& model,
@@ -824,64 +757,28 @@ PortfolioResult run_portfolio(const searchspace::SubSpace& view,
       mix64(mix64(view.parent().fingerprint(), model.fingerprint()),
             options.base.objectives.fingerprint());
 
-  const double construction = view.parent().construction_seconds();
-  const double charged = options.base.fixed_construction_seconds >= 0
-                             ? options.base.fixed_construction_seconds
-                             : construction;
-  LockstepRace race(n, charged * options.base.construction_time_scale, options);
-
   // Seed-split: one independent stream per member from the root seed.
   util::Rng root(options.base.seed);
   std::vector<std::uint64_t> seeds(n);
   for (auto& seed : seeds) seed = root();
 
+  PortfolioRace race(options);
+  std::vector<TuningRun> runs =
+      race.run(view, model, optimizers, seeds, cache, cache_fp);
   result.members.resize(n);
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto race_member = [&](std::size_t m) {
-    // A member must reach finish() on every path: an escaping exception
-    // would otherwise leave the remaining members deadlocked in wait_turn
-    // (and terminate the process, as std::thread has no result channel).
-    try {
-      TuningOptions member_options = options.base;
-      member_options.seed = seeds[m];
-      SessionHooks hooks;
-      hooks.before_request = [&race, m](double now) { race.wait_turn(m, now); };
-      hooks.on_eval = [&race](std::size_t, double score, double now) {
-        race.record(score, now);
-      };
-      hooks.stop = [&race, m](double now) { return race.should_stop(m, now); };
-      result.members[m].optimizer_name = optimizers[m]->name();
-      result.members[m].seed = seeds[m];
-      SessionRequest member =
-          make_session_request(view, model, *optimizers[m], member_options,
-                               "portfolio:" + optimizers[m]->name());
-      member.construction_seconds = construction;
-      member.shared_cache = cache;
-      member.cache_fingerprint = cache_fp;
-      member.hooks = hooks;
-      result.members[m].run = run_session(member);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-    race.finish(m);
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (std::size_t m = 0; m < n; ++m) threads.emplace_back(race_member, m);
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  for (std::size_t m = 0; m < n; ++m) {
+    result.members[m] = {optimizers[m]->name(), seeds[m], std::move(runs[m])};
+  }
   result.early_stopped = race.early_stopped();
 
   // Merge the member trajectories on the shared virtual timeline.  Points
-  // are ordered by (time, member) — exactly the order the lockstep race
-  // executed them in — and only portfolio-wide improvements survive; each
+  // are ordered by (time, member) — exactly the order the race executed
+  // them in — and only portfolio-wide improvements survive; each
   // merged point keeps the contributing member's evaluation count.
   result.merged.method_name = "portfolio";
   result.merged.budget_seconds = options.base.budget_seconds;
-  result.merged.construction_seconds = charged;
+  result.merged.construction_seconds =
+      result.members.front().run.construction_seconds;
   result.merged.objectives = options.base.objectives;
   const ObjectiveSpec& spec = options.base.objectives;
   struct Tagged {

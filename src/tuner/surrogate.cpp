@@ -181,18 +181,13 @@ std::uint64_t Surrogate::fingerprint() const {
 // SurrogateGuided: the model-based portfolio member
 // ---------------------------------------------------------------------------
 
-void SurrogateGuided::run(EvalContext& ctx) {
+Task SurrogateGuided::run(EvalContext& ctx) {
   using searchspace::NeighborMethod;
   const searchspace::SubSpace& space = ctx.space;
   const std::size_t n = space.size();
-  if (n == 0) return;
+  if (n == 0) co_return;
   const ObjectiveSpec fallback_spec;  // legacy single objective
   const ObjectiveSpec& spec = ctx.objectives ? *ctx.objectives : fallback_spec;
-  const auto measure = [&ctx](std::size_t row) {
-    // Hand-rolled contexts may lack the vector channel; the scalar is then
-    // the whole vector (its gflops component).
-    return ctx.measure ? ctx.measure(row) : Measurement{ctx.evaluate(row), 0.0};
-  };
 
   std::vector<std::pair<std::size_t, Measurement>> observations;
   std::unordered_set<std::size_t> seen;
@@ -220,12 +215,13 @@ void SurrogateGuided::run(EvalContext& ctx) {
   if (observations.size() < design) {
     for (const std::size_t row :
          searchspace::random_sample(space, design, *ctx.rng)) {
-      if (ctx.exhausted()) return;
+      if (ctx.exhausted()) co_return;
       if (seen.contains(row)) continue;
-      record(row, measure(row));
+      const Measurement m = co_await ctx.measure(row);
+      record(row, m);
     }
   }
-  if (observations.empty()) return;  // budget gone before the first design point
+  if (observations.empty()) co_return;  // budget gone before the first design point
 
   Surrogate model({params_.ridge_lambda});
   const auto refit = [&] {
@@ -256,15 +252,16 @@ void SurrogateGuided::run(EvalContext& ctx) {
       // Everything in reach is measured: re-request a random row (memoized,
       // so it costs only the per-request overhead) to keep draining the
       // budget toward termination, like a converged genetic population.
-      measure(ctx.rng->index(n));
+      co_await ctx.measure(ctx.rng->index(n));
       continue;
     }
     candidates = model.rank(space, std::move(candidates), spec);
     const std::size_t take =
         std::min<std::size_t>(params_.evals_per_round, candidates.size());
     for (std::size_t i = 0; i < take; ++i) {
-      if (ctx.exhausted()) return;
-      record(candidates[i], measure(candidates[i]));
+      if (ctx.exhausted()) co_return;
+      const Measurement m = co_await ctx.measure(candidates[i]);
+      record(candidates[i], m);
       if (++since_refit >= params_.refit_every) {
         refit();
         since_refit = 0;

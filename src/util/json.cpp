@@ -104,8 +104,15 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // The descent recurses once per level: bound it before the input
+        // can exhaust the stack.
+        if (++depth_ > kMaxDepth) fail("nesting deeper than 128 levels");
+        Value container = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return container;
+      }
       case '"': return Value(parse_string());
       case 't':
         if (consume_literal("true")) return Value(true);
@@ -253,6 +260,7 @@ class Parser {
   }
 
   std::string_view text_;
+  int depth_ = 0;
   std::size_t pos_ = 0;
 };
 

@@ -485,7 +485,7 @@ std::vector<std::string> drive(const SubSpace& view, tuner::Optimizer& optimizer
       },
       [&]() { return evaluated.size() >= budget; },
       &rng};
-  optimizer.run(ctx);
+  optimizer.run(ctx).run_inline();
   return evaluated;
 }
 
@@ -546,7 +546,7 @@ TEST(SubSpaceOptimizers, EveryEvaluationSatisfiesThePredicate) {
         },
         [&]() { return evaluated.size() >= 30; },
         &rng};
-    opt->run(ctx);
+    opt->run(ctx).run_inline();
     EXPECT_FALSE(evaluated.empty()) << opt->name();
   }
 }

@@ -557,6 +557,30 @@ TEST(HttpGateway, ErrorsCarryWireCodesAndHttpStatuses) {
   net::close_fd(fd);
 }
 
+TEST(HttpGateway, DeeplyNestedBodyGets400AndTheServerStaysUp) {
+  tuner::ServiceServerOptions options;
+  options.enable_http = true;
+  LiveServer live(options);
+
+  // Nesting far past json::kMaxDepth must be an ordinary protocol error:
+  // unbounded recursion would overflow the stack and take the server, and
+  // every tenant on it, down.
+  const int fd = raw_connect(live.server.http_port());
+  int status = 0;
+  json::Value reply;
+  ASSERT_TRUE(http_post(fd, "stats",
+                        std::string(100000, '[') + std::string(100000, ']'),
+                        status, reply));
+  EXPECT_EQ(status, 400);
+  EXPECT_EQ(reply.at("error").at("code").as_string(), "protocol");
+  net::close_fd(fd);
+
+  const int next = raw_connect(live.server.http_port());
+  ASSERT_TRUE(http_post(next, "stats", "{}", status, reply));
+  EXPECT_EQ(status, 200);
+  net::close_fd(next);
+}
+
 TEST(HttpGateway, ExpectContinueGetsTheInterimResponse) {
   tuner::ServiceServerOptions options;
   options.enable_http = true;

@@ -1,7 +1,7 @@
 // Tests for the concurrent multi-session runtime: SharedEvalCache,
 // SessionManager (shared spaces, shared measurements, determinism vs the
-// isolated run_tuning path), the Portfolio lockstep race, and the
-// shared-ownership SubSpace handoff.
+// isolated run_session path), the Portfolio race, and the shared-ownership
+// SubSpace handoff.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -103,29 +103,7 @@ TEST(SharedEvalCache, FirstInsertWins) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-// --- run_session vs the deprecated shims ------------------------------------
-
-TEST(SessionLoop, DeprecatedShimsMatchRunSession) {
-  // Dedicated shim test: the [[deprecated]] entry points must forward to
-  // run_session with identical results until they are removed (see
-  // CONTRIBUTING.md).
-  const auto spec = small_spec();
-  const searchspace::SearchSpace space(spec);
-  tuner::HotspotModel model;
-  tuner::RandomSearch rs1, rs2;
-  const tuner::Method method = tuner::optimized_method();
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto via_loop = tuner::run_session_loop(
-      space, "optimized", space.construction_seconds(), model, rs1,
-      fixed_options(17));
-  const auto via_run_tuning =
-      tuner::run_tuning(spec, method, model, rs2, fixed_options(17));
-#pragma GCC diagnostic pop
-  const auto canonical = isolated_run(spec, 17);
-  EXPECT_EQ(via_loop, canonical);
-  EXPECT_EQ(via_run_tuning, canonical);
-}
+// --- run_session ------------------------------------------------------------
 
 TEST(SessionLoop, SharedCacheDoesNotChangeTheResult) {
   const auto spec = small_spec();

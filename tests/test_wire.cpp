@@ -101,6 +101,36 @@ TEST(Json, MalformedDocumentsThrowProtocolErrors) {
   }
 }
 
+TEST(Json, NestingDeeperThanTheCapIsAProtocolErrorNotACrash) {
+  const auto arrays = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](int depth) {
+    std::string doc;
+    for (int i = 0; i < depth; ++i) doc += "{\"a\":";
+    return doc + "0" + std::string(depth, '}');
+  };
+  EXPECT_EQ(json::Value::parse(arrays(json::kMaxDepth)).dump(),
+            arrays(json::kMaxDepth));
+  EXPECT_EQ(json::Value::parse(objects(json::kMaxDepth)).dump(),
+            objects(json::kMaxDepth));
+  const auto envelope = [](const std::string& payload) {
+    return "{\"op\":\"stats\",\"body\":" + payload + "}";
+  };
+  EXPECT_EQ(wire::decode_request(envelope(arrays(json::kMaxDepth - 1))).first,
+            "stats");
+  for (const int depth : {json::kMaxDepth + 1, 100000}) {
+    for (const std::string& doc :
+         {arrays(depth), objects(depth), std::string(depth, '[')}) {
+      EXPECT_EQ(code_of([&] { json::Value::parse(doc); }), ErrorCode::kProtocol)
+          << "depth " << depth;
+      EXPECT_EQ(code_of([&] { wire::decode_request(envelope(doc)); }),
+                ErrorCode::kProtocol)
+          << "depth " << depth;
+    }
+  }
+}
+
 TEST(Json, LenientReadersTolerateAbsentAndMistypedFields) {
   const auto doc = json::Value::parse("{\"n\":3,\"s\":\"x\"}");
   EXPECT_EQ(doc.at("n").as_int(), 3);
