@@ -8,6 +8,13 @@
 // with and without early-stop rules.  A failure prints the digest it got; a
 // legitimate change to search behaviour must say so and re-record them.
 //
+// The snapshot pins do the same for construction: the save_snapshot bytes
+// of every Table 2 space (columns, row table, posting lists, solve counters)
+// with the wall-clock fields zeroed.  Snapshot round-trip tests compare a
+// build with its own reload, so an index layout that changes on both sides
+// passes them; these do not.  The two-worker parallel builds are pinned as
+// well and must match the sequential bytes outside the method identity.
+//
 // The pins hold for the portable x86-64 baseline the default build and the
 // sanitizer builds compile for.  Targets that fuse multiply-adds (any FMA
 // target such as -march=native, and aarch64) round the models' arithmetic
@@ -17,10 +24,15 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "tunespace/searchspace/io.hpp"
 #include "tunespace/searchspace/view.hpp"
+#include "tunespace/spaces/realworld.hpp"
 #include "tunespace/tuner/optimizers.hpp"
 #include "tunespace/tuner/runner.hpp"
 #include "tunespace/tuner/session.hpp"
@@ -198,6 +210,61 @@ tuner::PortfolioResult race(const searchspace::SubSpace& view,
   return tuner::run_portfolio(view, model, tuner::default_portfolio(), options);
 }
 
+// Snapshot header offsets (see the layout in searchspace/io.cpp).
+constexpr std::size_t kFingerprintOffset = 16;
+constexpr std::size_t kParallelTasksOffset = 72;
+constexpr std::size_t kParallelWorkersOffset = 80;
+constexpr std::size_t kTimingOffset = 88;  // preprocess, search, construction
+
+/// Digest of `space`'s snapshot bytes with the three wall-clock fields
+/// zeroed.  With `mask_method`, the fields naming how the space was built
+/// (spec+method fingerprint, parallel task and worker counts) are zeroed
+/// too, so a parallel build can be compared with the sequential one.
+std::uint64_t snapshot_digest(const searchspace::SearchSpace& space,
+                              bool mask_method = false) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    "tunespace-golden-pins-snapshot.tss";
+  searchspace::save_snapshot(space, path.string());
+  std::ifstream file(path, std::ios::binary);
+  std::stringstream contents;
+  contents << file.rdbuf();
+  file.close();
+  std::filesystem::remove(path);
+  std::string bytes = contents.str();
+  if (bytes.size() < kTimingOffset + 24) return 0;
+  auto zero = [&bytes](std::size_t offset, std::size_t size) {
+    for (std::size_t i = 0; i < size; ++i) bytes[offset + i] = 0;
+  };
+  zero(kTimingOffset, 24);
+  if (mask_method) {
+    zero(kFingerprintOffset, 8);
+    zero(kParallelTasksOffset, 8);
+    zero(kParallelWorkersOffset, 4);
+  }
+  return Digest().bytes(bytes.data(), bytes.size()).value();
+}
+
+struct SnapshotPin {
+  const char* space;
+  std::uint64_t digest;
+};
+
+// Recorded once; see the file comment before changing any of these.
+constexpr SnapshotPin kSnapshotPins[] = {
+    {"Dedispersion", 0x3f9b07d9418c3966ULL},
+    {"ExpDist", 0x534dba34eb4bf4f4ULL},
+    {"Hotspot", 0xb1d799327f401a9aULL},
+    {"GEMM", 0xa0eaeb1a72038df4ULL},
+    {"MicroHH", 0xfcc86e72e8c77920ULL},
+    {"ATF PRL 2x2", 0x1dde09e8c2aeed4eULL},
+    {"ATF PRL 4x4", 0xede72f10c7cc3ea3ULL},
+    {"ATF PRL 8x8", 0xedf194aa156a7c0dULL},
+};
+constexpr SnapshotPin kParallelSnapshotPins[] = {
+    {"Hotspot", 0x10b15f4ef2d840c7ULL},
+    {"GEMM", 0x7b933cb701316891ULL},
+};
+
 }  // namespace
 
 TEST(GoldenPins, EveryOptimizerClosedLoopAndAskTell) {
@@ -267,4 +334,33 @@ TEST(GoldenPins, PortfolioRaces) {
       << "target race digest " << hex(got_target);
   EXPECT_EQ(got_two, kTwoObjectiveRacePin)
       << "two-objective race digest " << hex(got_two);
+}
+
+TEST(GoldenPins, RealWorldSnapshotBytes) {
+  const auto suite = spaces::all_realworld();
+  ASSERT_EQ(suite.size(), std::size(kSnapshotPins));
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    ASSERT_EQ(suite[i].name, kSnapshotPins[i].space);
+    const searchspace::SearchSpace space(suite[i].spec);
+    const std::uint64_t got = snapshot_digest(space);
+    EXPECT_EQ(got, kSnapshotPins[i].digest)
+        << suite[i].name << " snapshot digest " << hex(got);
+  }
+}
+
+TEST(GoldenPins, ParallelSnapshotBytes) {
+  solver::SolverOptions options;
+  options.threads = 2;
+  for (const SnapshotPin& pin : kParallelSnapshotPins) {
+    const auto rw = pin.space == std::string("Hotspot") ? spaces::hotspot()
+                                                        : spaces::gemm();
+    ASSERT_EQ(rw.name, pin.space);
+    const searchspace::SearchSpace sequential(rw.spec);
+    const searchspace::SearchSpace parallel(rw.spec, options);
+    const std::uint64_t got = snapshot_digest(parallel);
+    EXPECT_EQ(got, pin.digest) << pin.space << " parallel snapshot digest "
+                               << hex(got);
+    EXPECT_EQ(snapshot_digest(parallel, true), snapshot_digest(sequential, true))
+        << pin.space;
+  }
 }
