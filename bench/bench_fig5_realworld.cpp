@@ -6,12 +6,15 @@
 //   D: time vs sparsity (fraction constrained)
 //   E: time vs number of tunable parameters
 //   F: total time per method with speedups
+// followed by how much of a full SearchSpace(spec) construction (optimized
+// method) goes to building the row table and posting lists.
 //
 // Brute force on ATF PRL 8x8 sweeps a 2.4e9 Cartesian product (~minutes);
 // set TUNESPACE_BENCH_FAST=1 to skip brute force on spaces > 1e8.
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "tunespace/searchspace/searchspace.hpp"
 #include "tunespace/spaces/realworld.hpp"
 #include "tunespace/util/stats.hpp"
 #include "tunespace/util/table.hpp"
@@ -68,5 +71,16 @@ int main() {
   std::cout << "\n(paper reference speedups vs optimized: brute-force ~20643x, "
                "ATF ~44x, pyATF ~891x, original ~2643x; this reproduction "
                "preserves the ordering, not the Python-vs-C++ magnitudes)\n";
+
+  bench::section("SearchSpace(spec): index build share of construction");
+  util::Table split({"space", "construction", "index", "index share"});
+  for (const auto& rw : spaces) {
+    const searchspace::SearchSpace space(rw.spec);
+    const double total = space.construction_seconds();
+    split.add_row({rw.name, util::fmt_seconds(total),
+                   util::fmt_seconds(space.index_seconds()),
+                   util::fmt_double(total > 0 ? space.index_seconds() / total : 0, 3)});
+  }
+  split.print(std::cout);
   return 0;
 }

@@ -66,6 +66,7 @@ struct SpaceReport {
   std::size_t rows = 0;
   std::uintmax_t file_bytes = 0;
   double cold_seconds = 0;
+  double index_seconds = 0;     // the row-table + posting-list share of cold
   double warm_seconds = 0;      // load_or_build cache hit (kShape, mmap)
   double verified_seconds = 0;  // explicit load_snapshot with kFull checksums
   bool identical = true;
@@ -109,6 +110,7 @@ int main(int argc, char** argv) {
     util::WallTimer timer;
     searchspace::SearchSpace fresh(rw.spec);
     report.cold_seconds = timer.seconds();
+    report.index_seconds = fresh.index_seconds();
     report.rows = fresh.size();
 
     // Snapshot artifact (uploaded by CI); a copy pre-populates the
@@ -178,11 +180,12 @@ int main(int argc, char** argv) {
       const SpaceReport& r = reports[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"rows\": %zu, \"file_bytes\": %ju, "
-                   "\"cold_seconds\": %.6f, \"warm_seconds\": %.6f, "
+                   "\"cold_seconds\": %.6f, \"index_seconds\": %.6f, "
+                   "\"warm_seconds\": %.6f, "
                    "\"verified_seconds\": %.6f, "
                    "\"speedup\": %.2f, \"identical\": %s}%s\n",
                    r.name.c_str(), r.rows, r.file_bytes, r.cold_seconds,
-                   r.warm_seconds, r.verified_seconds, r.speedup(),
+                   r.index_seconds, r.warm_seconds, r.verified_seconds, r.speedup(),
                    r.identical ? "true" : "false",
                    i + 1 < reports.size() ? "," : "");
     }

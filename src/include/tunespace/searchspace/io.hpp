@@ -66,7 +66,11 @@ enum class SnapshotVerify {
   /// checksums are not streamed.  The right level for the trusted,
   /// atomically-written load_or_build cache: a hit costs microseconds.
   kShape,
-  /// kShape plus every section checksum (one pass over the whole file).
+  /// kShape plus every section checksum (one pass over the whole file) and
+  /// the row-table invariants: every slot empty or a row id, and exactly as
+  /// many occupied slots as rows.  The checksums are not a signature —
+  /// anyone can recompute them — so only the invariants reject a crafted
+  /// table.
   kFull,
 };
 

@@ -8,6 +8,17 @@
 // CSR form (posting lists) for neighbour and stratified-sampling queries,
 // and materialized config views.
 //
+// build_indexes() makes two passes over the packed solution columns, both
+// reading blocks of a few hundred rows one column at a time rather than a
+// row at a time.  The first folds each column into the block's row hashes
+// and counts its values, then inserts the block's rows into the row table
+// in row order, prefetching each home slot a fixed distance ahead.  The
+// second prefix-sums the counts and scatters the rows into the posting
+// lists, one run of equal values at a time.  Because the row table is
+// filled strictly in row order with unchanged linear probing, its layout —
+// and with it the snapshot bytes — does not depend on how the build is
+// blocked.
+//
 // Both indexes are flat arrays so a snapshot (searchspace/io.hpp) can
 // serialize them verbatim and a reload can *borrow* them straight out of
 // the snapshot buffer instead of rebuilding: the `std::span` views point
@@ -114,6 +125,9 @@ class SearchSpace {
   /// Wall-clock seconds spent constructing — pipeline + solve on a fresh
   /// build, file load on a snapshot reload.
   double construction_seconds() const { return construction_seconds_; }
+  /// Wall-clock seconds of construction_seconds() spent building the row
+  /// table and posting lists; 0 on a snapshot reload, which borrows them.
+  double index_seconds() const { return index_seconds_; }
   const solver::SolveStats& solve_stats() const { return stats_; }
   /// Fingerprint of the (spec, method) pair this space was resolved from
   /// (tuner::spec_fingerprint); snapshots are keyed by it.
@@ -139,6 +153,7 @@ class SearchSpace {
   solver::SolutionSet solutions_;
   solver::SolveStats stats_;
   double construction_seconds_ = 0.0;
+  double index_seconds_ = 0.0;
   std::uint64_t fingerprint_ = 0;
 
   // Row-lookup table: open addressing, power-of-two size, linear probing,

@@ -66,6 +66,10 @@ class PackedColumn {
     return static_cast<std::uint32_t>(v & mask_);
   }
 
+  /// Decode entries [begin, begin + count) into `out` (the block reader of
+  /// the index build: one call per column per block of rows).
+  void unpack(std::size_t begin, std::size_t count, std::uint32_t* out) const;
+
   /// Append one entry; `v` must fit in bits().
   void push_back(std::uint32_t v);
 

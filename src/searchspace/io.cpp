@@ -782,10 +782,18 @@ SearchSpace load_snapshot(const tuner::TuningProblem& spec,
     const auto* slots =
         reinterpret_cast<const std::uint32_t*>(buffer->data + sec.offset + 8);
     if (verify == SnapshotVerify::kFull) {
+      // As many occupied slots as rows, like the build leaves it; a table
+      // with fewer empty slots sends lookup misses round the whole table.
+      std::uint64_t occupied = 0;
       for (std::uint64_t i = 0; i < table_size; ++i) {
-        if (slots[i] != SearchSpace::kEmptySlot && slots[i] >= n) {
+        if (slots[i] == SearchSpace::kEmptySlot) continue;
+        if (slots[i] >= n) {
           throw SnapshotError("snapshot row-table slot out of range: " + path);
         }
+        ++occupied;
+      }
+      if (occupied != n64) {
+        throw SnapshotError("snapshot row-table occupancy mismatch: " + path);
       }
     }
     space.hash_table_ = {slots, static_cast<std::size_t>(table_size)};

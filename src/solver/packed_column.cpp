@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 namespace tunespace::solver {
 
@@ -31,6 +32,42 @@ void PackedColumn::grow_to_words(std::size_t need) {
     owned_.reserve(std::max(need, owned_.capacity() * 2));
   }
   owned_.resize(need, 0);
+}
+
+void PackedColumn::unpack(std::size_t begin, std::size_t count,
+                          std::uint32_t* out) const {
+  assert(begin + count <= size_);
+  // Locals, so the stores through `out` cannot force reloads of the members.
+  const unsigned bits = bits_;
+  const std::uint64_t mask = mask_;
+  if (bits == 0) {
+    std::fill_n(out, count, 0u);
+    return;
+  }
+  const std::uint64_t* words = data();
+  std::size_t i = 0;
+  if (std::endian::native == std::endian::little && bits <= 8 && begin % 8 == 0) {
+    // Eight entries from an 8-aligned index fill exactly `bits` bytes, so one
+    // unaligned load holds them all; stop before a load would pass the end.
+    const auto* bytes = reinterpret_cast<const unsigned char*>(words);
+    const std::size_t size_bytes = word_count() * sizeof(std::uint64_t);
+    std::size_t at = begin / 8 * bits;
+    for (; i + 8 <= count && at + 8 <= size_bytes; i += 8, at += bits) {
+      std::uint64_t x = 0;
+      std::memcpy(&x, bytes + at, sizeof x);
+      for (unsigned k = 0; k < 8; ++k) {
+        out[i + k] = static_cast<std::uint32_t>((x >> (k * bits)) & mask);
+      }
+    }
+  }
+  std::uint64_t bit = static_cast<std::uint64_t>(begin + i) * bits;
+  for (; i < count; ++i, bit += bits) {
+    const std::uint64_t* w = words + (bit >> 6);
+    const unsigned off = static_cast<unsigned>(bit & 63);
+    std::uint64_t v = *w >> off;
+    if (off + bits > 64) v |= w[1] << (64 - off);
+    out[i] = static_cast<std::uint32_t>(v & mask);
+  }
 }
 
 void PackedColumn::push_back(std::uint32_t v) {

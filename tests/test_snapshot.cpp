@@ -4,7 +4,9 @@
 // mismatched files, and the load_or_build construction cache.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -136,6 +138,41 @@ TEST_F(PackedColumnTest, RandomAccessMatchesReferenceAcrossWidths) {
     ASSERT_EQ(col.size(), ref.size()) << "bits=" << bits;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(col.get(i), ref[i]) << "bits=" << bits << " i=" << i;
+    }
+  }
+}
+
+TEST_F(PackedColumnTest, UnpackMatchesGetForEveryWidthAndRange) {
+  for (unsigned bits = 0; bits <= 32; ++bits) {
+    const std::uint64_t mask = bits >= 32 ? 0xFFFFFFFFull : (1ull << bits) - 1;
+    // Sizes whose packed bits end exactly on, just before and just after a
+    // word boundary, so the last group's load meets the end of the words.
+    for (const std::size_t size : {64u, 63u, 65u, 777u}) {
+      util::Rng rng(131 * bits + size);
+      solver::PackedColumn col(bits);
+      for (std::size_t i = 0; i < size; ++i) {
+        col.push_back(static_cast<std::uint32_t>(rng() & mask));
+      }
+      // A borrowed copy reads straight out of a buffer with nothing after it.
+      auto words = std::make_shared<std::vector<std::uint64_t>>(
+          col.words(), col.words() + col.word_count());
+      const auto borrowed = solver::PackedColumn::borrowed(
+          bits, size, words->data(), words);
+      for (const std::size_t begin : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{8}, std::size_t{13}, size / 2,
+                                      size - 1}) {
+        for (const std::size_t count : {size - begin, std::size_t{1},
+                                        std::min<std::size_t>(9, size - begin)}) {
+          std::vector<std::uint32_t> out(count + 1, 0xDEADBEEFu);
+          borrowed.unpack(begin, count, out.data());
+          for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(out[i], col.get(begin + i))
+                << "bits=" << bits << " size=" << size << " begin=" << begin
+                << " i=" << i;
+          }
+          ASSERT_EQ(out[count], 0xDEADBEEFu) << "wrote past count";
+        }
+      }
     }
   }
 }
@@ -353,6 +390,85 @@ TEST_F(SnapshotTest, RejectsCorruptedPayload) {
   EXPECT_THROW(searchspace::load_snapshot(spec, path("s.tss"),
                                           searchspace::SnapshotVerify::kFull),
                searchspace::SnapshotError);
+}
+
+namespace {
+
+/// The snapshot section checksum (four interleaved FNV-1a chains over
+/// 64-bit words, see searchspace/io.cpp), recomputed the way a forger would.
+std::uint64_t section_checksum(const char* p, std::size_t n) {
+  constexpr std::uint64_t kPrime = 0x100000001B3ULL;
+  std::uint64_t h[4] = {0xCBF29CE484222325ULL, 0x9E3779B97F4A7C15ULL,
+                        0xC2B2AE3D27D4EB4FULL, 0x165667B19E3779F9ULL};
+  for (std::size_t w = 0; w * 8 < n; ++w) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, p + w * 8, 8);
+    h[w & 3] = (h[w & 3] ^ v) * kPrime;
+  }
+  std::uint64_t out = (h[0] ^ h[1]) * kPrime;
+  out = (out ^ h[2]) * kPrime;
+  out = (out ^ h[3]) * kPrime;
+  return out ^ n;
+}
+
+}  // namespace
+
+TEST_F(SnapshotTest, RejectsForgedRowTableWithValidChecksum) {
+  const auto rw = spaces::dedispersion();
+  const searchspace::SearchSpace fresh(rw.spec);
+  ASSERT_GT(fresh.size(), 1u);
+  searchspace::save_snapshot(fresh, path("forged.tss"));
+
+  // Point every row-table slot at row 0 — in range, so a slot-range check
+  // alone accepts it — and re-sign section 3 so its checksum matches.
+  std::string bytes;
+  {
+    std::ifstream in(path("forged.tss"), std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    bytes = buffer.str();
+  }
+  constexpr std::size_t kHeaderBytes = 112;
+  constexpr std::size_t kEntryBytes = 32;
+  const std::size_t entry = kHeaderBytes + 2 * kEntryBytes;  // section 3
+  std::uint32_t id = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t size = 0;
+  std::memcpy(&id, bytes.data() + entry, 4);
+  std::memcpy(&offset, bytes.data() + entry + 8, 8);
+  std::memcpy(&size, bytes.data() + entry + 16, 8);
+  ASSERT_EQ(id, 3u);
+  std::uint64_t slots = 0;
+  std::memcpy(&slots, bytes.data() + offset, 8);
+  ASSERT_LE(8 + slots * 4, size);
+  std::memset(bytes.data() + offset + 8, 0, slots * 4);
+  const std::uint64_t sum = section_checksum(bytes.data() + offset, size);
+  std::memcpy(bytes.data() + entry + 24, &sum, 8);
+  {
+    std::ofstream out(path("forged.tss"), std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  // The checksum holds, so it is the occupancy check that must refuse it.
+  try {
+    searchspace::load_snapshot(rw.spec, path("forged.tss"),
+                               searchspace::SnapshotVerify::kFull);
+    ADD_FAILURE() << "kFull accepted a row table without empty slots";
+  } catch (const searchspace::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("occupancy"), std::string::npos)
+        << e.what();
+  }
+
+  // The trusting cache-hit level accepts the file; a lookup miss must still
+  // terminate after one lap of the table.
+  const auto trusted = searchspace::load_snapshot(
+      rw.spec, path("forged.tss"), searchspace::SnapshotVerify::kShape);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(trusted.find(fresh.indices(1)).has_value());
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 0.5);
+  EXPECT_EQ(trusted.find(fresh.indices(0)), std::optional<std::size_t>(0));
 }
 
 // ---------------------------------------------------------------------------
