@@ -11,6 +11,11 @@
 // exits non-zero when a *synthetic* suite's speedup at <threads> drops below
 // <x> (the real-world suites are reported but not gated: they are small
 // enough that scheduling overhead dominates on slow runners).
+//
+// Next to each suite's wall time the table shows the parallel engine's own
+// phase timers (SolveStats::expand_seconds and stitch_seconds, summed over
+// the suite): the sequential prefix expansion and the shard merge, the two
+// serial-ish parts that bound the speedup.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -76,6 +81,8 @@ std::vector<std::size_t> thread_counts() {
 /// reference enumeration.
 struct SuiteRun {
   double seconds = 0;
+  double expand_seconds = 0;  // of the best sweep
+  double stitch_seconds = 0;
   std::size_t solutions = 0;
   bool deterministic = true;
 };
@@ -94,6 +101,8 @@ SuiteRun run_suite(const Suite& suite, std::size_t threads,
   SuiteRun best;
   for (int rep = 0; rep < repeats; ++rep) {
     double total = 0;
+    double expand = 0;
+    double stitch = 0;
     std::size_t solutions = 0;
     bool deterministic = true;
     for (std::size_t s = 0; s < suite.specs.size(); ++s) {
@@ -104,10 +113,16 @@ SuiteRun run_suite(const Suite& suite, std::size_t threads,
       auto problem = tuner::build_problem(suite.specs[s], method.pipeline);
       auto result = method.solver->solve(problem);
       total += timer.seconds();
+      expand += result.stats.expand_seconds;
+      stitch += result.stats.stitch_seconds;
       solutions += result.solutions.size();
       deterministic = deterministic && identical(result.solutions, reference[s]);
     }
-    if (rep == 0 || total < best.seconds) best.seconds = total;
+    if (rep == 0 || total < best.seconds) {
+      best.seconds = total;
+      best.expand_seconds = expand;
+      best.stitch_seconds = stitch;
+    }
     best.solutions = solutions;
     best.deterministic = best.deterministic && deterministic;
   }
@@ -154,13 +169,16 @@ int main(int argc, char** argv) {
     bool gated = false;
     std::size_t solutions = 0;
     std::vector<double> seconds;
+    std::vector<double> expand_seconds;
+    std::vector<double> stitch_seconds;
     std::vector<double> speedup;
     bool deterministic = true;
   };
   std::vector<SuiteReport> reports;
 
   bench::section("Work-stealing parallel engine: strong scaling");
-  util::Table table({"suite", "threads", "time", "speedup", "identical"});
+  util::Table table(
+      {"suite", "threads", "time", "expand", "stitch", "speedup", "identical"});
   for (const Suite& suite : suites) {
     // Sequential reference enumeration (also the determinism baseline).
     std::vector<solver::SolutionSet> reference;
@@ -179,11 +197,15 @@ int main(int argc, char** argv) {
       const double speedup = run.seconds > 0 ? base / run.seconds : 0;
       report.solutions = run.solutions;
       report.seconds.push_back(run.seconds);
+      report.expand_seconds.push_back(run.expand_seconds);
+      report.stitch_seconds.push_back(run.stitch_seconds);
       report.speedup.push_back(speedup);
       report.deterministic = report.deterministic && run.deterministic;
       all_deterministic = all_deterministic && run.deterministic;
       table.add_row({suite.name, std::to_string(threads),
                      util::fmt_seconds(run.seconds),
+                     util::fmt_seconds(run.expand_seconds),
+                     util::fmt_seconds(run.stitch_seconds),
                      util::fmt_double(speedup, 3) + "x",
                      run.deterministic ? "yes" : "NO"});
       if (suite.gated && gate_threads == threads) {
@@ -213,10 +235,17 @@ int main(int argc, char** argv) {
                    "\"deterministic\": %s,\n     \"seconds\": [",
                    r.name.c_str(), r.gated ? "true" : "false", r.solutions,
                    r.deterministic ? "true" : "false");
-      for (std::size_t i = 0; i < r.seconds.size(); ++i) {
-        std::fprintf(f, "%s%.6f", i ? ", " : "", r.seconds[i]);
-      }
-      std::fprintf(f, "], \"speedup\": [");
+      const auto print_list = [&](const std::vector<double>& xs) {
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          std::fprintf(f, "%s%.6f", i ? ", " : "", xs[i]);
+        }
+      };
+      print_list(r.seconds);
+      std::fprintf(f, "],\n     \"expand_seconds\": [");
+      print_list(r.expand_seconds);
+      std::fprintf(f, "], \"stitch_seconds\": [");
+      print_list(r.stitch_seconds);
+      std::fprintf(f, "],\n     \"speedup\": [");
       for (std::size_t i = 0; i < r.speedup.size(); ++i) {
         std::fprintf(f, "%s%.4f", i ? ", " : "", r.speedup[i]);
       }

@@ -73,6 +73,17 @@ class PackedColumn {
   /// Append one entry; `v` must fit in bits().
   void push_back(std::uint32_t v);
 
+  /// Append `count` copies of `v` (the solver's column-run emission).  A run
+  /// of zeros writes no words: storage past size()*bits() is already zero.
+  void append_run(std::uint32_t v, std::size_t count);
+
+  /// Append `times` more copies of the last `period` entries, copy-doubling
+  /// whole periods (the solver's unconstrained-tail pattern).
+  void append_repeat(std::size_t period, std::size_t times);
+
+  /// Make room for `entries` entries in total without reallocating.
+  void reserve(std::size_t entries);
+
   /// Append `count` entries of `other` starting at `begin`.  Equal-width
   /// appends run as a word-level bit blit (the parallel-merge hot path).
   void append(const PackedColumn& other, std::size_t begin, std::size_t count);

@@ -35,6 +35,10 @@ struct SolveStats {
   std::uint32_t parallel_workers = 0;   ///< worker threads used (0 = sequential)
   double preprocess_seconds = 0.0;      ///< domain preprocessing time
   double search_seconds = 0.0;          ///< enumeration time
+  /// Parallel phases inside search_seconds: sequential prefix expansion and
+  /// the merge of worker shards (0 for sequential solvers; not persisted).
+  double expand_seconds = 0.0;
+  double stitch_seconds = 0.0;
   double total_seconds() const { return preprocess_seconds + search_seconds; }
 
   /// Add another search's effort counters (nodes through block_lanes): how
@@ -105,15 +109,24 @@ class SolutionSet {
     }
   }
 
+  /// Make room for `rows` rows in every column.
+  void reserve(std::size_t rows) {
+    for (auto& c : columns_) c.reserve(rows);
+  }
+
+  /// Writable access to one column, for writers that fill the set column by
+  /// column (the backtracking engine's runs, the parallel stitch).  The set
+  /// is well-formed again once every column holds the same number of rows.
+  PackedColumn& mutable_column(std::size_t var) { return columns_[var]; }
+
   /// Append all solutions of another set (column-wise bulk bit copy; used by
   /// the parallel solver to merge per-thread results cheaply).
   void append_all(const SolutionSet& other) {
     append_range(other, 0, other.size());
   }
 
-  /// Append `count` solutions of another set starting at row `begin`.  The
-  /// parallel solvers use this to stitch rank-tagged segments of per-worker
-  /// shards back into the canonical sequential enumeration order.
+  /// Append `count` solutions of another set starting at row `begin`
+  /// (column-wise bulk bit copy).
   void append_range(const SolutionSet& other, std::size_t begin,
                     std::size_t count) {
     for (std::size_t v = 0; v < columns_.size(); ++v) {

@@ -1,6 +1,7 @@
 #include "backtracking_core.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdlib>
 #include <numeric>
 
@@ -158,12 +159,27 @@ SearchPlan build_plan(csp::Problem& problem, const OptimizedOptions& options,
                                    !plan.partial_fast_at[p].empty());
     }
   }
+
+  // Unconstrained tail: the trailing positions whose four dispatch tables
+  // are empty, grown from the end while the product stays within the cap.
+  plan.tail_start = n;
+  std::uint64_t tail_rows = 1;
+  while (plan.tail_start > 0) {
+    const std::size_t p = plan.tail_start - 1;
+    if (!plan.full_at[p].empty() || !plan.partial_at[p].empty() ||
+        !plan.full_fast_at[p].empty() || !plan.partial_fast_at[p].empty()) {
+      break;
+    }
+    const std::uint64_t size = plan.domains[plan.order[p]].size();
+    if (tail_rows > kMaxTailRows / size) break;
+    tail_rows *= size;
+    --plan.tail_start;
+  }
   return plan;
 }
 
-BacktrackingEngine::BacktrackingEngine(const SearchPlan& plan, std::size_t first_lo,
-                                       std::size_t first_hi, std::size_t emit_depth)
-    : plan_(&plan), first_lo_(first_lo), first_hi_(first_hi) {
+BacktrackingEngine::BacktrackingEngine(const SearchPlan& plan, std::size_t emit_depth)
+    : plan_(&plan) {
   const std::size_t n = plan.order.size();
   emit_depth_ = std::min(emit_depth, n);
   values_.resize(n);
@@ -173,42 +189,90 @@ BacktrackingEngine::BacktrackingEngine(const SearchPlan& plan, std::size_t first
   row_.resize(n);
   chunk_begin_.assign(n, kNoChunk);
   chunk_mask_.assign(n * kBlockLanes, 0);
-  if (n == 0 || plan.unsatisfiable || first_lo_ >= first_hi_ || emit_depth_ == 0) {
-    exhausted_ = true;
-  } else {
-    value_idx_[0] = first_lo_;
-  }
+  exhausted_ = n == 0 || plan.unsatisfiable || emit_depth_ == 0;
 }
 
 BacktrackingEngine::BacktrackingEngine(const SearchPlan& plan, PrefixSeed seed)
-    : plan_(&plan), base_(seed.length) {
-  const std::uint32_t* prefix = seed.values;
-  const std::size_t prefix_len = seed.length;
-  const std::size_t n = plan.order.size();
-  emit_depth_ = n;
-  values_.resize(n);
-  int_values_.assign(n, 0);
-  assigned_.assign(n, 0);
-  value_idx_.assign(n, 0);
-  row_.resize(n);
-  chunk_begin_.assign(n, kNoChunk);
-  chunk_mask_.assign(n * kBlockLanes, 0);
-  if (n == 0 || plan.unsatisfiable || prefix_len >= n) {
+    : BacktrackingEngine(plan) {
+  if (exhausted_) return;
+  if (seed.length >= plan.order.size()) {
     exhausted_ = true;
     return;
   }
-  for (std::size_t q = 0; q < prefix_len; ++q) {
+  for (std::size_t q = 0; q < seed.length; ++q) {
     const std::size_t var = plan.order[q];
-    const std::uint32_t vi = prefix[q];
+    const std::uint32_t vi = seed.values[q];
     if (plan.var_is_int[var]) int_values_[var] = plan.int_values[var][vi];
     if (plan.var_needs_boxed[var]) values_[var] = plan.domains[var][vi];
     assigned_[var] = 1;
     row_[var] = plan.orig_index[var][vi];
     value_idx_[q] = vi + 1;  // keep the chosen_index invariant for seeds too
   }
-  p_ = base_;
-  first_lo_ = 0;
-  first_hi_ = plan.domains[plan.order[base_]].size();
+  base_ = p_ = seed.length;
+}
+
+bool BacktrackingEngine::accept(std::size_t p, std::size_t vi) {
+  const SearchPlan& plan = *plan_;
+  const std::size_t var = plan.order[p];
+  assigned_[var] = 1;
+  ++effort_.nodes;
+  bool ok;
+  if (plan.block_at[p] != 0) {
+    // Block tier: the lane-group verdicts for this position are computed
+    // once per kBlockLanes candidates and consumed from the cached mask.
+    // The mask stays valid for the whole sweep of this position (the
+    // assignment above p cannot change without descending back into it,
+    // which invalidates the chunk).
+    if (chunk_begin_[p] == kNoChunk || vi < chunk_begin_[p] ||
+        vi - chunk_begin_[p] >= kBlockLanes) {
+      compute_chunk(p, vi, plan.domains[var].size());
+    }
+    ok = chunk_mask_[p * kBlockLanes + (vi - chunk_begin_[p])] != 0;
+    if (ok) {
+      // compute_chunk() used the assignment slots as lane scratch;
+      // rewrite them with this candidate for the descent below.
+      int_values_[var] = plan.int_values[var][vi];
+      if (plan.var_needs_boxed[var]) values_[var] = plan.domains[var][vi];
+    }
+  } else {
+    if (plan.var_is_int[var]) int_values_[var] = plan.int_values[var][vi];
+    // Boxed Values are only materialized for variables the boxed tier
+    // actually reads; all-integer problems skip this copy entirely.
+    if (plan.var_needs_boxed[var]) values_[var] = plan.domains[var][vi];
+    ok = [&] {
+      for (const Constraint* c : plan.full_fast_at[p]) {
+        ++effort_.constraint_checks;
+        ++effort_.fast_checks;
+        if (!c->satisfied_fast(int_values_.data())) return false;
+      }
+      for (const Constraint* c : plan.full_at[p]) {
+        ++effort_.constraint_checks;
+        if (!c->satisfied(values_.data())) return false;
+      }
+      for (const Constraint* c : plan.partial_fast_at[p]) {
+        ++effort_.constraint_checks;
+        ++effort_.fast_checks;
+        if (!c->consistent_fast(int_values_.data(), assigned_.data())) {
+          ++effort_.prunes;
+          return false;
+        }
+      }
+      for (const Constraint* c : plan.partial_at[p]) {
+        ++effort_.constraint_checks;
+        if (!c->consistent(values_.data(), assigned_.data())) {
+          ++effort_.prunes;
+          return false;
+        }
+      }
+      return true;
+    }();
+  }
+  if (!ok) {
+    assigned_[var] = 0;
+    return false;
+  }
+  row_[var] = plan.orig_index[var][vi];
+  return true;
 }
 
 bool BacktrackingEngine::next() {
@@ -217,88 +281,16 @@ bool BacktrackingEngine::next() {
 
   while (true) {
     const std::size_t var = plan.order[p_];
-    const Domain& dom = plan.domains[var];
-    const std::size_t limit = p_ == base_ ? first_hi_ : dom.size();
-    const bool blocked = plan.block_at[p_] != 0;
+    const std::size_t limit = plan.domains[var].size();
     bool descended = false;
     while (value_idx_[p_] < limit) {
       const std::size_t vi = value_idx_[p_]++;
-      assigned_[var] = 1;
-      ++effort_.nodes;
-      bool ok = true;
-      if (blocked) {
-        // Block tier: the lane-group verdicts for this position are computed
-        // once per kBlockLanes candidates and consumed from the cached mask.
-        // The mask stays valid for the whole sweep of this position (the
-        // assignment above p_ cannot change without descending back into it,
-        // which invalidates the chunk).
-        if (chunk_begin_[p_] == kNoChunk || vi < chunk_begin_[p_] ||
-            vi - chunk_begin_[p_] >= kBlockLanes) {
-          compute_chunk(p_, vi, limit);
-        }
-        ok = chunk_mask_[p_ * kBlockLanes + (vi - chunk_begin_[p_])] != 0;
-        if (ok) {
-          // compute_chunk() used the assignment slots as lane scratch;
-          // rewrite them with this candidate for the descent below.
-          int_values_[var] = plan.int_values[var][vi];
-          if (plan.var_needs_boxed[var]) values_[var] = dom[vi];
-        }
-      } else {
-        if (plan.var_is_int[var]) int_values_[var] = plan.int_values[var][vi];
-        // Boxed Values are only materialized for variables the boxed tier
-        // actually reads; all-integer problems skip this copy entirely.
-        if (plan.var_needs_boxed[var]) values_[var] = dom[vi];
-        for (const Constraint* c : plan.full_fast_at[p_]) {
-          ++effort_.constraint_checks;
-          ++effort_.fast_checks;
-          if (!c->satisfied_fast(int_values_.data())) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
-          for (const Constraint* c : plan.full_at[p_]) {
-            ++effort_.constraint_checks;
-            if (!c->satisfied(values_.data())) {
-              ok = false;
-              break;
-            }
-          }
-        }
-        if (ok) {
-          for (const Constraint* c : plan.partial_fast_at[p_]) {
-            ++effort_.constraint_checks;
-            ++effort_.fast_checks;
-            if (!c->consistent_fast(int_values_.data(), assigned_.data())) {
-              ok = false;
-              ++effort_.prunes;
-              break;
-            }
-          }
-        }
-        if (ok) {
-          for (const Constraint* c : plan.partial_at[p_]) {
-            ++effort_.constraint_checks;
-            if (!c->consistent(values_.data(), assigned_.data())) {
-              ok = false;
-              ++effort_.prunes;
-              break;
-            }
-          }
-        }
-      }
-      if (!ok) {
-        assigned_[var] = 0;
-        continue;
-      }
-      row_[var] = plan.orig_index[var][vi];
+      if (!accept(p_, vi)) continue;
       if (p_ + 1 == emit_depth_) {
         assigned_[var] = 0;
         return true;  // resume at this position on the next call
       }
-      ++p_;
-      value_idx_[p_] = 0;
-      chunk_begin_[p_] = kNoChunk;  // new parent assignment: stale lane masks
+      descend();
       descended = true;
       break;
     }
@@ -311,6 +303,104 @@ bool BacktrackingEngine::next() {
     --p_;
     assigned_[plan.order[p_]] = 0;
   }
+}
+
+std::uint64_t tail_rows(const SearchPlan& plan, std::size_t tail) {
+  std::uint64_t rows = 1;
+  for (std::size_t j = tail; j < plan.order.size(); ++j) {
+    rows *= plan.domains[plan.order[j]].size();
+  }
+  return rows;
+}
+
+void append_tail_column(const SearchPlan& plan, std::size_t tail, std::size_t pos,
+                        std::uint64_t prefixes, PackedColumn& col) {
+  if (prefixes == 0) return;
+  // The column cycles through its domain in runs of the product of the
+  // domains after `pos`; that block of runs repeats for every combination
+  // of the tail positions before `pos`, under every prefix.
+  std::uint64_t outer = prefixes;
+  std::uint64_t inner = tail_rows(plan, tail);
+  for (std::size_t j = tail; j < pos; ++j) {
+    const std::uint64_t size = plan.domains[plan.order[j]].size();
+    outer *= size;
+    inner /= size;
+  }
+  const std::vector<std::uint32_t>& orig = plan.orig_index[plan.order[pos]];
+  inner /= orig.size();
+  for (const std::uint32_t v : orig) col.append_run(v, inner);
+  col.append_repeat(orig.size() * inner, outer - 1);
+}
+
+void BacktrackingEngine::drain(SolutionSet& out) {
+  const std::uint64_t prefixes = drain_prefixes(out);
+  const std::size_t tail = plan_->tail_below(base_);
+  for (std::size_t pos = tail; pos < plan_->order.size(); ++pos) {
+    append_tail_column(*plan_, tail, pos, prefixes,
+                       out.mutable_column(plan_->order[pos]));
+  }
+}
+
+std::uint64_t BacktrackingEngine::drain_prefixes(SolutionSet& out) {
+  const SearchPlan& plan = *plan_;
+  const std::size_t n = plan.order.size();
+  assert(emit_depth_ == n && "drain() needs a full-depth engine");
+  if (exhausted_) return 0;
+  exhausted_ = true;
+
+  // The tail below this engine's floor: its rows and search nodes per prefix.
+  const std::size_t tail = plan.tail_below(base_);
+  const std::uint64_t rows_per_prefix = tail_rows(plan, tail);
+  std::uint64_t tail_nodes = 0;
+  std::uint64_t product = 1;
+  for (std::size_t j = tail; j < n; ++j) {
+    product *= plan.domains[plan.order[j]].size();
+    tail_nodes += product;
+  }
+
+  // Search [base_, tail) for valid prefixes.  run_start[p] is the prefix
+  // count when position p took its current value, so the value's run spans
+  // (prefixes - run_start[p]) * rows_per_prefix rows once the search moves on.
+  std::uint64_t prefixes = 0;
+  if (tail == base_) {
+    prefixes = 1;  // the seed (or the empty prefix) is the only prefix
+  } else {
+    std::vector<std::uint64_t> run_start(n, 0);
+    while (true) {
+      const std::size_t var = plan.order[p_];
+      const std::size_t limit = plan.domains[var].size();
+      bool descended = false;
+      while (value_idx_[p_] < limit) {
+        const std::size_t vi = value_idx_[p_]++;
+        if (!accept(p_, vi)) continue;
+        if (p_ + 1 == tail) {
+          ++prefixes;
+          out.mutable_column(var).append_run(row_[var], rows_per_prefix);
+          continue;
+        }
+        run_start[p_] = prefixes;
+        descend();
+        descended = true;
+        break;
+      }
+      if (descended) continue;
+      assigned_[var] = 0;
+      if (p_ == base_) break;
+      --p_;
+      const std::size_t up = plan.order[p_];
+      assigned_[up] = 0;
+      out.mutable_column(up).append_run(
+          row_[up], (prefixes - run_start[p_]) * rows_per_prefix);
+    }
+  }
+  effort_.nodes += prefixes * tail_nodes;
+
+  // Seeded positions hold one value across the whole subtree.
+  for (std::size_t q = 0; q < base_; ++q) {
+    const std::size_t var = plan.order[q];
+    out.mutable_column(var).append_run(row_[var], prefixes * rows_per_prefix);
+  }
+  return prefixes;
 }
 
 void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,

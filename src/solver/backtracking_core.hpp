@@ -4,18 +4,50 @@
 //
 // A SearchPlan captures everything derived from the Problem before search:
 // preprocessed domain copies, the original-domain index mapping, the
-// variable order, and the per-position constraint dispatch tables.
-// A BacktrackingEngine then enumerates solutions resumably over a plan.
+// variable order, the per-position constraint dispatch tables, and where the
+// unconstrained tail of the order starts.
+//
+// A BacktrackingEngine enumerates solutions over a plan in one of two ways:
+//   * drain() enumerates everything at once into a SolutionSet (the path of
+//     every full construction);
+//   * next() yields one row at a time (the lazy SolutionIterator and the
+//     prefix expander below).
+// Both run each candidate through the same check (accept()), so they visit
+// the same nodes in the same order and charge the same effort counters.
+//
+// drain() writes column runs instead of rows.  Rows come out of a depth-first
+// search, so the rows emitted while position p holds one value are
+// contiguous and share that value: when the search moves past the value,
+// its column gets one run of that many rows (PackedColumn::append_run).
+// Every column therefore receives its entries in row order, and the columns
+// agree in length once the drain returns.
+//
+// The unconstrained tail, positions [t, n) (t = tail_start) that dispatch no
+// constraint, is not searched.  Below every valid prefix of positions
+// [0, t) it holds the full Cartesian product of its domains in
+// lexicographic order, the same for every prefix.  So the drain stops at
+// the tail: each valid prefix adds one run of R = prod_{j>=t} |D_j| rows to
+// the prefix columns, and each tail column is written after the search as
+// one period of R entries repeated once per valid prefix.  The effort stays
+// exact because the tail positions have no constraints: the search would
+// have charged no checks or prunes there, and exactly
+// sum_{j>=t} prod_{t<=i<=j} |D_i| nodes per prefix, which the drain adds.
+//
 // Two restrictions compose into the parallel decomposition:
-//   * an emit depth D < n turns the engine into a *prefix expander* that
+//   * an emit depth D < n turns the engine into a *prefix expander*: next()
 //     yields every valid depth-D assignment prefix (and charges exactly the
 //     nodes/checks the sequential search spends on the top D levels);
 //   * a prefix seed fixes positions [0, D) to one expanded prefix and
 //     enumerates only the subtree below it, never backtracking above D.
 // Together they let the work-stealing parallel solver split the search tree
 // at any depth while keeping the union of all engines' effort counters
-// exactly equal to a single sequential enumeration.
+// exactly equal to a single sequential enumeration.  A seed may reach into
+// the tail; its subtree is then all tail and holds one prefix.  All tasks
+// of one parallel solve share a tail, so they call drain_prefixes(), which
+// leaves the tail columns alone, and the merge writes each tail column once
+// for all prefixes (append_tail_column).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -47,8 +79,34 @@ struct SearchPlan {
   std::vector<unsigned char> var_is_int;               ///< domain is int/bool only
   std::vector<unsigned char> var_needs_boxed;          ///< boxed tier reads this var
   std::vector<unsigned char> block_at;                 ///< block tier on at position
+  /// First position of the unconstrained tail: positions [tail_start, n)
+  /// dispatch no constraint, and their Cartesian product is at most
+  /// kMaxTailRows rows.
+  std::size_t tail_start = 0;
   bool unsatisfiable = false;  ///< proven empty during preprocessing
+
+  /// First tail position of an engine that never backtracks above `floor`
+  /// (its prefix seed's length): a seed may reach past tail_start.
+  std::size_t tail_below(std::size_t floor) const {
+    return std::max(tail_start, floor);
+  }
 };
+
+/// Cap on the rows of one prefix's unconstrained tail.  No SolutionSet that
+/// fits in memory holds 2^40 rows, and below the cap neither a tail's node
+/// count (at most n times its rows) nor a 32-bit column's bit offset can
+/// overflow 64 bits; the tail stops growing where the product would pass it.
+inline constexpr std::uint64_t kMaxTailRows = std::uint64_t{1} << 40;
+
+/// Rows that one valid prefix of positions [0, tail) stands for: the
+/// product of the domain sizes of positions [tail, n).
+std::uint64_t tail_rows(const SearchPlan& plan, std::size_t tail);
+
+/// Append the tail block of positions [tail, n), once per prefix for
+/// `prefixes` prefixes, to `col`, the column of the variable at search
+/// position `pos` (tail <= pos < n).
+void append_tail_column(const SearchPlan& plan, std::size_t tail, std::size_t pos,
+                        std::uint64_t prefixes, PackedColumn& col);
 
 /// Build a plan: preprocess domains (per options), order variables, prepare
 /// constraints, and build dispatch tables.  Adds preprocessing effort to
@@ -60,14 +118,11 @@ SearchPlan build_plan(csp::Problem& problem, const OptimizedOptions& options,
 /// Resumable depth-first enumeration over a plan.
 class BacktrackingEngine {
  public:
-  /// Restrict the first search position's value indices to [first_lo,
-  /// first_hi) — pass 0 and the full domain size for a complete search.
-  /// `emit_depth` < n turns the engine into a prefix expander: next()
-  /// returns once per valid assignment of positions [0, emit_depth) and
-  /// never descends (or counts effort) below that depth.
-  BacktrackingEngine(const SearchPlan& plan, std::size_t first_lo,
-                     std::size_t first_hi,
-                     std::size_t emit_depth = static_cast<std::size_t>(-1));
+  /// A complete search.  `emit_depth` < n turns the engine into a prefix
+  /// expander: next() returns once per valid assignment of positions
+  /// [0, emit_depth) and never descends (or counts effort) below that depth.
+  explicit BacktrackingEngine(const SearchPlan& plan,
+                              std::size_t emit_depth = static_cast<std::size_t>(-1));
 
   /// A fixed assignment prefix: `length` pruned-domain value indices, one
   /// per search position, as produced by a prefix expander via chosen_index.
@@ -81,6 +136,17 @@ class BacktrackingEngine {
   /// effort is counted for them, and the engine never backtracks above the
   /// prefix.
   BacktrackingEngine(const SearchPlan& plan, PrefixSeed seed);
+
+  /// Append every remaining solution to `out` as column runs, in the order
+  /// next() would yield them, and exhaust the engine.  Full-depth engines
+  /// only (no emit depth).
+  void drain(SolutionSet& out);
+
+  /// drain() without the tail: appends the columns of positions
+  /// [0, plan.tail_below(floor)) only and returns the number of valid
+  /// prefixes, each standing for tail_rows() rows.  The tail columns are
+  /// the caller's to write with append_tail_column().
+  std::uint64_t drain_prefixes(SolutionSet& out);
 
   /// Advance to the next solution; false when exhausted.  On success the
   /// solution is available via row() (original-domain value indices).
@@ -105,6 +171,19 @@ class BacktrackingEngine {
   /// chunk_begin_ sentinel: no valid lane-group mask cached at a position.
   static constexpr std::size_t kNoChunk = static_cast<std::size_t>(-1);
 
+  /// Try candidate `vi` of search position `p` against the current partial
+  /// assignment, charging its node and checks.  On acceptance the candidate
+  /// stays assigned and row_ holds its original index; on rejection the
+  /// position is unassigned again.
+  bool accept(std::size_t p, std::size_t vi);
+
+  /// Step from position p_ to p_ + 1 with a fresh candidate sweep.
+  void descend() {
+    ++p_;
+    value_idx_[p_] = 0;
+    chunk_begin_[p_] = kNoChunk;  // new parent assignment: stale lane masks
+  }
+
   /// Evaluate the lane group [vi0, min(vi0 + kBlockLanes, limit)) of search
   /// position `p` against the current partial assignment, filling
   /// chunk_mask_.  Charges checks, fast checks and prunes exactly as the
@@ -114,7 +193,6 @@ class BacktrackingEngine {
   void compute_chunk(std::size_t p, std::size_t vi0, std::size_t limit);
 
   const SearchPlan* plan_;
-  std::size_t first_lo_, first_hi_;
   std::size_t base_ = 0;        ///< backtracking floor (prefix length)
   std::size_t emit_depth_ = 0;  ///< position count after which next() yields
   std::vector<csp::Value> values_;

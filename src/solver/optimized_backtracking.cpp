@@ -17,8 +17,8 @@ SolveResult OptimizedBacktracking::solve(csp::Problem& problem) const {
   if (plan.unsatisfiable) return result;
 
   timer.reset();
-  detail::BacktrackingEngine engine(plan, 0, plan.domains[plan.order[0]].size());
-  while (engine.next()) result.solutions.append(engine.row().data());
+  detail::BacktrackingEngine engine(plan);
+  engine.drain(result.solutions);
   result.stats += engine.effort();  // on top of the preprocessing prunes
   result.stats.search_seconds = timer.seconds();
   return result;

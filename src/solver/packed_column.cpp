@@ -28,8 +28,11 @@ void PackedColumn::detach() {
 }
 
 void PackedColumn::grow_to_words(std::size_t need) {
+  // Capacities stay powers of two words, also for one large append: freed
+  // column buffers then fit the requests of later columns, which keeps
+  // repeated builds from fragmenting the heap.
   if (owned_.capacity() < need) {
-    owned_.reserve(std::max(need, owned_.capacity() * 2));
+    owned_.reserve(std::bit_ceil(need));
   }
   owned_.resize(need, 0);
 }
@@ -88,6 +91,50 @@ void PackedColumn::push_back(std::uint32_t v) {
     owned_[word + 1] |= static_cast<std::uint64_t>(v) >> (64 - off);
   }
   ++size_;
+}
+
+void PackedColumn::append_run(std::uint32_t v, std::size_t count) {
+  assert((v & ~static_cast<std::uint64_t>(mask_)) == 0 &&
+         "value exceeds column width");
+  if (count == 0) return;
+  if (v == 0) {
+    if (borrowed_) detach();
+    const std::size_t need = words_needed(size_ + count);
+    if (need > owned_.size()) grow_to_words(need);
+    size_ += count;
+    return;
+  }
+  push_back(v);
+  append_repeat(1, count - 1);
+}
+
+void PackedColumn::append_repeat(std::size_t period, std::size_t times) {
+  assert(period <= size_);
+  if (period == 0 || times == 0) return;
+  if (borrowed_) detach();
+  const std::size_t total = period * times;
+  if (bits_ == 0) {
+    size_ += total;
+    return;
+  }
+  const std::size_t need = words_needed(size_ + total);
+  if (need > owned_.size()) grow_to_words(need);
+  // Each blit copies every whole period written so far from `begin`; the
+  // source ends where the destination starts, so no blit reads its output.
+  const std::uint64_t begin_bit = static_cast<std::uint64_t>(size_ - period) * bits_;
+  std::size_t copies = 1;
+  while (copies <= times) {
+    const std::size_t k = std::min(copies, times + 1 - copies);
+    append_bits(owned_.data(), begin_bit,
+                static_cast<std::uint64_t>(k) * period * bits_);
+    size_ += k * period;
+    copies += k;
+  }
+}
+
+void PackedColumn::reserve(std::size_t entries) {
+  if (borrowed_) detach();
+  owned_.reserve(std::bit_ceil(words_needed(entries)));  // as grow_to_words
 }
 
 void PackedColumn::append_bits(const std::uint64_t* src, std::uint64_t src_bit,

@@ -58,8 +58,8 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
 
   if (n == 1) {
     // No prefix to split on: a single-variable search is one flat scan.
-    detail::BacktrackingEngine engine(plan, 0, plan.domains[plan.order[0]].size());
-    while (engine.next()) result.solutions.append(engine.row().data());
+    detail::BacktrackingEngine engine(plan);
+    engine.drain(result.solutions);
     result.stats += engine.effort();
     result.stats.parallel_tasks = 1;
     result.stats.parallel_workers = 1;
@@ -81,8 +81,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   std::vector<std::uint32_t> prefixes;  // depth entries per task, rank order
   for (;;) {
     prefixes.clear();
-    detail::BacktrackingEngine expander(
-        plan, 0, plan.domains[plan.order[0]].size(), depth);
+    detail::BacktrackingEngine expander(plan, depth);
     while (expander.next()) {
       for (std::size_t q = 0; q < depth; ++q) {
         prefixes.push_back(expander.chosen_index(q));
@@ -99,6 +98,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   }
   const std::size_t num_tasks = prefixes.size() / depth;
   result.stats.parallel_tasks = num_tasks;
+  result.stats.expand_seconds = timer.seconds();
   if (num_tasks == 0) {
     result.stats.search_seconds = timer.seconds();
     return result;
@@ -106,7 +106,12 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
 
   // --- Phase 2: work-stealing enumeration of the per-prefix subtrees ------
   // Solutions land in per-worker sharded SolutionSets tagged with their
-  // prefix rank; no shared append lock anywhere on the hot path.
+  // prefix rank; no shared append lock anywhere on the hot path.  Every
+  // task shares one unconstrained tail, whose columns are the same block
+  // under every prefix: the shards leave them empty and phase 3 writes them
+  // once.
+  const std::size_t tail = plan.tail_below(depth);
+  const std::uint64_t rows_per_prefix = detail::tail_rows(plan, tail);
   struct Segment {
     std::uint32_t rank = 0;
     std::uint32_t worker = 0;
@@ -114,7 +119,8 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     std::size_t count = 0;
   };
   struct WorkerShard {
-    SolutionSet solutions;
+    SolutionSet solutions;  // columns of positions before the tail only
+    std::size_t rows = 0;
     std::vector<Segment> segments;
     SolveStats effort;
   };
@@ -127,28 +133,43 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     WorkerShard& shard = shards[w];
     detail::BacktrackingEngine engine(
         plan, detail::BacktrackingEngine::PrefixSeed{&prefixes[task * depth], depth});
-    const std::size_t begin = shard.solutions.size();
-    while (engine.next()) shard.solutions.append(engine.row().data());
-    shard.segments.push_back(Segment{task, static_cast<std::uint32_t>(w), begin,
-                                     shard.solutions.size() - begin});
+    const std::size_t count = engine.drain_prefixes(shard.solutions) * rows_per_prefix;
+    shard.segments.push_back(
+        Segment{task, static_cast<std::uint32_t>(w), shard.rows, count});
+    shard.rows += count;
     shard.effort += engine.effort();
   });
   result.stats.parallel_workers = static_cast<std::uint32_t>(scheduler.workers());
 
   // --- Phase 3: deterministic merge in prefix-rank order ------------------
+  // The merged columns are reserved to the known row total, then stitched
+  // one column per task: each column's segments are copied in rank order,
+  // and each tail column is written as its block once per valid prefix.
+  const double stitch_begin = timer.seconds();
   std::vector<Segment> segments;
   segments.reserve(num_tasks);
+  std::size_t rows = 0;
   for (const WorkerShard& shard : shards) {
     segments.insert(segments.end(), shard.segments.begin(), shard.segments.end());
     result.stats += shard.effort;
+    rows += shard.rows;
   }
   std::sort(segments.begin(), segments.end(),
             [](const Segment& a, const Segment& b) { return a.rank < b.rank; });
-  for (const Segment& seg : segments) {
-    if (seg.count == 0) continue;
-    result.solutions.append_range(shards[seg.worker].solutions, seg.begin,
-                                  seg.count);
-  }
+  result.solutions.reserve(rows);
+  detail::WorkStealingScheduler stitcher(n, workers, parallel_.steal);
+  stitcher.run([&](std::size_t, std::uint32_t var) {
+    PackedColumn& column = result.solutions.mutable_column(var);
+    if (plan.pos_of[var] >= tail) {
+      detail::append_tail_column(plan, tail, plan.pos_of[var], rows / rows_per_prefix,
+                                 column);
+      return;
+    }
+    for (const Segment& seg : segments) {
+      column.append(shards[seg.worker].solutions.column(var), seg.begin, seg.count);
+    }
+  });
+  result.stats.stitch_seconds = timer.seconds() - stitch_begin;
   result.stats.search_seconds = timer.seconds();
   return result;
 }

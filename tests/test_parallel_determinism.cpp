@@ -6,6 +6,9 @@
 // identical solution ORDER (not just set) and identical SolveStats
 // node/check totals — the parallel decomposition only re-distributes work,
 // it never changes what work is done.
+//
+// The engine's bulk drain() is checked the same way against its row-at-a-time
+// next() loop, sequentially and from every prefix seed.
 #include <gtest/gtest.h>
 
 #include "tunespace/csp/builtin_constraints.hpp"
@@ -14,8 +17,11 @@
 #include "tunespace/expr/function_constraint.hpp"
 #include "tunespace/expr/parser.hpp"
 #include "tunespace/solver/parallel_backtracking.hpp"
+#include "tunespace/spaces/realworld.hpp"
 #include "tunespace/spaces/synthetic.hpp"
 #include "tunespace/tuner/pipeline.hpp"
+
+#include "solver/backtracking_core.hpp"
 
 using namespace tunespace;
 using namespace tunespace::solver;
@@ -38,6 +44,61 @@ void expect_same_effort(const SolveStats& a, const SolveStats& b,
   EXPECT_EQ(a.constraint_checks, b.constraint_checks) << what;
   EXPECT_EQ(a.fast_checks, b.fast_checks) << what;
   EXPECT_EQ(a.prunes, b.prunes) << what;
+}
+
+/// Every effort counter of SolveStats, the block-tier ones included.
+void expect_same_counters(const SolveStats& a, const SolveStats& b,
+                          const std::string& what) {
+  expect_same_effort(a, b, what);
+  EXPECT_EQ(a.block_checks, b.block_checks) << what;
+  EXPECT_EQ(a.block_lanes, b.block_lanes) << what;
+}
+
+/// drain() against a next() loop over one plan: the full search, then the
+/// subtree of every valid prefix of each length 1..n-1 (the parallel tasks'
+/// seeds).  Rows must match in order and every counter must agree.  Returns
+/// the number of rows of the full search.
+std::size_t expect_drain_matches_next(const csp::Problem& problem,
+                                      const detail::SearchPlan& plan,
+                                      const std::string& what) {
+  const std::size_t n = plan.order.size();
+  const auto compare = [&](auto make_engine, const std::string& where) {
+    SolutionSet drained(problem), looped(problem);
+    detail::BacktrackingEngine bulk = make_engine();
+    bulk.drain(drained);
+    detail::BacktrackingEngine lazy = make_engine();
+    while (lazy.next()) looped.append(lazy.row().data());
+    expect_identical(drained, looped, where);
+    expect_same_counters(bulk.effort(), lazy.effort(), where);
+    return drained.size();
+  };
+  const std::size_t rows =
+      compare([&] { return detail::BacktrackingEngine(plan); }, what + " full");
+  for (std::size_t depth = 1; depth < n; ++depth) {
+    std::vector<std::uint32_t> prefixes;
+    detail::BacktrackingEngine expander(plan, depth);
+    while (expander.next()) {
+      for (std::size_t q = 0; q < depth; ++q) {
+        prefixes.push_back(expander.chosen_index(q));
+      }
+    }
+    for (std::size_t at = 0; at < prefixes.size(); at += depth) {
+      compare(
+          [&] {
+            return detail::BacktrackingEngine(
+                plan, detail::BacktrackingEngine::PrefixSeed{&prefixes[at], depth});
+          },
+          what + " depth " + std::to_string(depth) + " prefix " +
+              std::to_string(at / depth));
+    }
+  }
+  return rows;
+}
+
+detail::SearchPlan plan_for(csp::Problem& problem,
+                            const OptimizedOptions& options = {}) {
+  SolveStats stats;
+  return detail::build_plan(problem, options, stats);
 }
 
 csp::Problem synthetic_problem(std::size_t dims, std::uint64_t target,
@@ -110,6 +171,21 @@ TEST_P(ParallelEquivalence, SplitDepthAndStealPolicyDoNotChangeResults) {
   }
 }
 
+TEST_P(ParallelEquivalence, DrainMatchesNextLoop) {
+  const std::uint64_t seed = GetParam();
+  // Small spaces: every prefix seed at every depth is drained separately,
+  // through the block tier, the scalar int64 tier and the boxed tier.
+  csp::Problem problem = synthetic_problem(4, 3000, 1 + seed % 5, seed);
+  const OptimizedOptions scalar{true, true, true, true, false};
+  const OptimizedOptions boxed{true, true, true, false, false};
+  const OptimizedOptions unsorted{true, false, false, true, true};
+  for (const OptimizedOptions& options : {OptimizedOptions{}, scalar, boxed, unsorted}) {
+    const detail::SearchPlan plan = plan_for(problem, options);
+    EXPECT_GT(expect_drain_matches_next(problem, plan, "seed " + std::to_string(seed)),
+              100u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomizedProblems, ParallelEquivalence,
                          ::testing::Values(3u, 17u, 42u, 2025u));
 
@@ -175,6 +251,126 @@ TEST(ParallelBacktrackingSplit, SingleVariableProblem) {
   const auto result = ParallelBacktracking(8).solve(p);
   EXPECT_EQ(result.solutions.size(), 10u);
   EXPECT_EQ(result.stats.parallel_workers, 1u);
+}
+
+// --- drain() against next() on hand-built cases ------------------------------
+
+TEST(DrainMatchesNext, RealWorldSpacesSequential) {
+  for (const auto& space : spaces::all_realworld()) {
+    csp::Problem problem =
+        tuner::build_problem(space.spec, tuner::PipelineOptions::optimized());
+    const detail::SearchPlan plan = plan_for(problem);
+    EXPECT_LT(plan.tail_start, plan.order.size()) << space.name;
+    SolutionSet drained(problem), looped(problem);
+    detail::BacktrackingEngine bulk(plan);
+    bulk.drain(drained);
+    detail::BacktrackingEngine lazy(plan);
+    while (lazy.next()) looped.append(lazy.row().data());
+    expect_identical(drained, looped, space.name);
+    expect_same_counters(bulk.effort(), lazy.effort(), space.name);
+  }
+}
+
+TEST(DrainMatchesNext, NoConstraintsIsAllTail) {
+  csp::Problem p;
+  p.add_variable("x", csp::Domain::range(1, 3));
+  p.add_variable("y", csp::Domain::range(1, 4));
+  p.add_variable("z", csp::Domain::range(1, 2));
+  const detail::SearchPlan plan = plan_for(p);
+  EXPECT_EQ(plan.tail_start, 0u);
+  expect_drain_matches_next(p, plan, "no constraints");
+}
+
+TEST(DrainMatchesNext, SingleValueTailWithNonzeroOriginalIndex) {
+  csp::Problem p;
+  p.add_variable("x", csp::Domain::range(1, 6));
+  p.add_variable("y", csp::Domain::range(1, 6));
+  p.add_variable("t", csp::Domain::range(1, 5));
+  p.add_constraint(std::make_unique<csp::MaxProduct>(
+      12, std::vector<std::string>{"x", "y"}));
+  detail::SearchPlan plan = plan_for(p);
+  // No constraint can prune a tail variable through build_plan (its check
+  // would dispatch in the tail), so narrow `t` the way preprocessing
+  // would: to the single value 4, original index 3 of a 3-bit column.
+  const std::size_t t = p.index_of("t");
+  ASSERT_GE(plan.pos_of[t], plan.tail_start);
+  plan.domains[t] = csp::Domain({csp::Value(4)});
+  plan.orig_index[t] = {3};
+  plan.int_values[t] = {4};
+  expect_drain_matches_next(p, plan, "single-value tail");
+
+  SolutionSet drained(p);
+  detail::BacktrackingEngine(plan).drain(drained);
+  ASSERT_GT(drained.size(), 0u);
+  EXPECT_EQ(drained.column(t).bits(), 3u);
+  for (std::size_t r = 0; r < drained.size(); ++r) {
+    ASSERT_EQ(drained.value_index(r, t), 3u) << "row " << r;
+  }
+}
+
+TEST(DrainMatchesNext, SplitDepthAtOrPastTailStart) {
+  auto build = [] {
+    csp::Problem p;
+    p.add_variable("x", csp::Domain::range(1, 8));
+    p.add_variable("y", csp::Domain::range(1, 8));
+    p.add_variable("u", csp::Domain::range(1, 3));
+    p.add_variable("v", csp::Domain::range(1, 4));
+    p.add_variable("w", csp::Domain::range(1, 2));
+    p.add_constraint(std::make_unique<csp::MaxProduct>(
+        20, std::vector<std::string>{"x", "y"}));
+    return p;
+  };
+  csp::Problem p_plan = build();
+  const detail::SearchPlan plan = plan_for(p_plan);
+  ASSERT_EQ(plan.tail_start, 2u);
+  expect_drain_matches_next(p_plan, plan, "tail split");
+
+  csp::Problem p_seq = build();
+  const auto sequential = OptimizedBacktracking{}.solve(p_seq);
+  for (std::size_t split_depth : {2u, 3u, 4u}) {
+    SolverOptions options;
+    options.threads = 4;
+    options.split_depth = split_depth;
+    csp::Problem p_par = build();
+    const auto parallel = ParallelBacktracking(options).solve(p_par);
+    const std::string what = "split depth " + std::to_string(split_depth);
+    expect_identical(parallel.solutions, sequential.solutions, what);
+    expect_same_counters(parallel.stats, sequential.stats, what);
+  }
+}
+
+TEST(DrainMatchesNext, SingleVariable) {
+  csp::Problem free_var;
+  free_var.add_variable("x", csp::Domain::range(1, 10));
+  expect_drain_matches_next(free_var, plan_for(free_var), "n = 1, free");
+
+  csp::Problem constrained;
+  constrained.add_variable("x", csp::Domain::range(1, 10));
+  constrained.add_constraint(
+      std::make_unique<expr::FunctionConstraint>(expr::parse("x % 3 == 1")));
+  const detail::SearchPlan plan = plan_for(constrained);
+  EXPECT_EQ(plan.tail_start, 1u);
+  expect_drain_matches_next(constrained, plan, "n = 1, constrained");
+}
+
+TEST(DrainMatchesNext, EmptyResult) {
+  csp::Problem p;
+  p.add_variable("x", csp::Domain({csp::Value(2), csp::Value(4)}));
+  p.add_variable("y", csp::Domain({csp::Value(2), csp::Value(4)}));
+  p.add_variable("z", csp::Domain::range(1, 5));
+  p.add_constraint(
+      std::make_unique<expr::FunctionConstraint>(expr::parse("x * y == 7")));
+  // Without preprocessing the search itself must find nothing.
+  const OptimizedOptions no_preprocess{false, true, true, true};
+  const detail::SearchPlan plan = plan_for(p, no_preprocess);
+  ASSERT_FALSE(plan.unsatisfiable);
+  expect_drain_matches_next(p, plan, "empty");
+  SolutionSet drained(p);
+  detail::BacktrackingEngine(plan).drain(drained);
+  EXPECT_EQ(drained.size(), 0u);
+  for (std::size_t v = 0; v < drained.num_vars(); ++v) {
+    EXPECT_EQ(drained.column(v).size(), 0u);
+  }
 }
 
 // --- Chain-of-trees engine ----------------------------------------------------

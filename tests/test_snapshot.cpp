@@ -195,6 +195,126 @@ TEST_F(PackedColumnTest, AppendRangeMatchesElementwiseAppend) {
   }
 }
 
+/// Word-for-word equality, plus the invariant that bits past size()*bits()
+/// are zero (what lets equal-width columns compare and save by words).
+void expect_same_words(const solver::PackedColumn& a, const solver::PackedColumn& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  ASSERT_EQ(a.word_count(), b.word_count()) << what;
+  for (std::size_t w = 0; w < a.word_count(); ++w) {
+    ASSERT_EQ(a.words()[w], b.words()[w]) << what << " word " << w;
+  }
+  const std::uint64_t used = static_cast<std::uint64_t>(a.size()) * a.bits();
+  if (used % 64 != 0) {
+    EXPECT_EQ(a.words()[a.word_count() - 1] >> (used % 64), 0u) << what;
+  }
+}
+
+TEST_F(PackedColumnTest, AppendRunMatchesPushBackLoop) {
+  for (unsigned bits = 0; bits <= 32; ++bits) {
+    const auto mask =
+        static_cast<std::uint32_t>(bits >= 32 ? 0xFFFFFFFFull : (1ull << bits) - 1);
+    for (const std::size_t count : {0u, 1u, 63u, 64u, 65u, 10000u}) {
+      for (const std::uint32_t v : {0u, mask}) {
+        for (const std::size_t lead : {0u, 5u}) {  // 5 misaligns the run
+          const std::string what = "bits=" + std::to_string(bits) + " count=" +
+                                   std::to_string(count) + " v=" + std::to_string(v) +
+                                   " lead=" + std::to_string(lead);
+          util::Rng rng(bits * 131 + lead);
+          solver::PackedColumn run(bits), loop(bits);
+          for (std::size_t i = 0; i < lead; ++i) {
+            const auto x = static_cast<std::uint32_t>(rng() & mask);
+            run.push_back(x);
+            loop.push_back(x);
+          }
+          run.append_run(v, count);
+          for (std::size_t i = 0; i < count; ++i) loop.push_back(v);
+          expect_same_words(run, loop, what);
+          // Entries after the run land where a push_back loop puts them.
+          run.push_back(mask & 0x5u);
+          loop.push_back(mask & 0x5u);
+          expect_same_words(run, loop, what + " then push_back");
+        }
+      }
+    }
+  }
+}
+
+TEST_F(PackedColumnTest, AppendRunDetachesBorrowedColumn) {
+  for (unsigned bits : {0u, 3u, 17u, 32u}) {
+    const auto mask =
+        static_cast<std::uint32_t>(bits >= 32 ? 0xFFFFFFFFull : (1ull << bits) - 1);
+    for (const std::uint32_t v : {0u, mask}) {
+      const std::string what = "bits=" + std::to_string(bits) + " v=" + std::to_string(v);
+      util::Rng rng(bits + 5);
+      solver::PackedColumn loop(bits);
+      for (int i = 0; i < 100; ++i) loop.push_back(static_cast<std::uint32_t>(rng() & mask));
+      auto words = std::make_shared<std::vector<std::uint64_t>>(
+          loop.words(), loop.words() + loop.word_count());
+      const std::vector<std::uint64_t> before = *words;
+      auto run = solver::PackedColumn::borrowed(bits, loop.size(), words->data(), words);
+      run.append_run(v, 65);
+      for (int i = 0; i < 65; ++i) loop.push_back(v);
+      EXPECT_FALSE(run.is_borrowed()) << what;
+      expect_same_words(run, loop, what);
+      EXPECT_EQ(*words, before) << what << ": the borrowed buffer must stay untouched";
+    }
+  }
+}
+
+TEST_F(PackedColumnTest, AppendRepeatMatchesLoop) {
+  for (unsigned bits : {0u, 1u, 3u, 7u, 13u, 32u}) {
+    const std::uint64_t mask = bits >= 32 ? 0xFFFFFFFFull : (1ull << bits) - 1;
+    for (const std::size_t period : {1u, 3u, 64u, 100u}) {
+      for (const std::size_t times : {0u, 1u, 2u, 7u, 129u}) {
+        util::Rng rng(bits * 7 + period);
+        solver::PackedColumn rep(bits), loop(bits);
+        rep.push_back(static_cast<std::uint32_t>(1 & mask));  // misalign
+        loop.push_back(static_cast<std::uint32_t>(1 & mask));
+        std::vector<std::uint32_t> pattern;
+        for (std::size_t i = 0; i < period; ++i) {
+          pattern.push_back(static_cast<std::uint32_t>(rng() & mask));
+          rep.push_back(pattern.back());
+        }
+        rep.append_repeat(period, times);
+        for (std::size_t t = 0; t <= times; ++t) {
+          for (const std::uint32_t x : pattern) loop.push_back(x);
+        }
+        expect_same_words(rep, loop,
+                          "bits=" + std::to_string(bits) + " period=" +
+                              std::to_string(period) + " times=" + std::to_string(times));
+      }
+    }
+  }
+}
+
+TEST_F(PackedColumnTest, ReserveAvoidsReallocation) {
+  for (unsigned bits : {1u, 5u, 32u}) {
+    solver::PackedColumn col(bits);
+    col.reserve(5000);
+    EXPECT_GE(col.memory_bytes(), (5000u * bits + 63) / 64 * sizeof(std::uint64_t));
+    col.push_back(1);
+    const std::uint64_t* words = col.words();
+    const std::size_t bytes = col.memory_bytes();
+    col.append_run(1, 3000);
+    for (int i = 0; i < 999; ++i) col.push_back(0);
+    col.append_run(1, 1000);
+    EXPECT_EQ(col.size(), 5000u);
+    EXPECT_EQ(col.words(), words) << "bits=" << bits;
+    EXPECT_EQ(col.memory_bytes(), bytes) << "bits=" << bits;
+  }
+  // Reserving a borrowed column copies it into owned storage first.
+  solver::PackedColumn owned(4);
+  for (std::uint32_t i = 0; i < 40; ++i) owned.push_back(i % 16);
+  auto words = std::make_shared<std::vector<std::uint64_t>>(
+      owned.words(), owned.words() + owned.word_count());
+  auto col = solver::PackedColumn::borrowed(4, owned.size(), words->data(), words);
+  col.reserve(1000);
+  EXPECT_FALSE(col.is_borrowed());
+  EXPECT_GE(col.memory_bytes(), (1000u * 4 + 63) / 64 * sizeof(std::uint64_t));
+  expect_same_words(col, owned, "reserved borrowed column");
+}
+
 TEST_F(PackedColumnTest, MixedWidthAppendAndEquality) {
   util::Rng rng(42);
   solver::PackedColumn narrow(5), wide;  // default is 32 bits
