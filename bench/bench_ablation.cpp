@@ -59,8 +59,7 @@ int main() {
     report("no variable ordering", {true, false, true, true});
     report("no partial checks", {true, true, false, true});
     report("no int64 fast path", {true, true, true, false});
-    report("no block evaluation", {true, true, true, true, false});
-    report("none (plain backtracking)", {false, false, false, false, false});
+    report("none (plain backtracking)", {false, false, false, false});
     table.print(std::cout);
   }
 

@@ -20,7 +20,6 @@
 #include "tunespace/expr/compiler.hpp"
 #include "tunespace/expr/function_constraint.hpp"
 #include "tunespace/expr/int_program.hpp"
-#include "tunespace/expr/int_program_block.hpp"
 #include "tunespace/expr/interpreter.hpp"
 #include "tunespace/expr/parser.hpp"
 #include "tunespace/expr/recognizer.hpp"
@@ -88,27 +87,6 @@ static void BM_EvalInt64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvalInt64);
-
-static void BM_EvalInt64Block(benchmark::State& state) {
-  const expr::Program prog = expr::compile(expr::parse(kConstraint));
-  const auto block = expr::IntProgramBlock::lower(
-      expr::fold_constants(expr::parse(kConstraint)), prog.var_names());
-  if (!block) {
-    state.SkipWithError("kConstraint did not lower to the block VM");
-    return;
-  }
-  std::int64_t values[2] = {0, 8};
-  const std::uint32_t slots[2] = {0, 1};
-  constexpr std::size_t kLanes = expr::IntProgramBlock::kLanes;
-  const std::int64_t candidates[kLanes] = {1, 2, 4, 8, 16, 32, 64, 128};
-  unsigned char truth[kLanes], poison[kLanes];
-  for (auto _ : state) {
-    block->run(values, slots, 0, candidates, kLanes, truth, poison);
-    benchmark::DoNotOptimize(truth[0]);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kLanes));
-}
-BENCHMARK(BM_EvalInt64Block);
 
 static void BM_EvalSpecificConstraint(benchmark::State& state) {
   csp::MaxProduct c(1024, {"block_size_x", "block_size_y"});
@@ -214,12 +192,11 @@ EvalTierResult time_tier(std::size_t iters, Fn&& fn) {
   return r;
 }
 
-/// Run the boxed vs int64 vs block comparison and write BENCH_eval.json.
+/// Run the boxed vs int64 comparison and write BENCH_eval.json.
 void run_eval_comparison(const char* json_path) {
   struct Compiled {
     expr::Program boxed;
     expr::IntProgram fast;
-    expr::IntProgramBlock block;
   };
   std::vector<Compiled> programs;
   for (const char* src : kEvalMix) {
@@ -229,14 +206,7 @@ void run_eval_comparison(const char* json_path) {
       std::fprintf(stderr, "expression unexpectedly not int-closed: %s\n", src);
       continue;
     }
-    auto block = expr::IntProgramBlock::lower(
-        expr::fold_constants(expr::parse(src)), p.var_names());
-    if (!block) {
-      std::fprintf(stderr, "expression unexpectedly not block-lowerable: %s\n",
-                   src);
-      continue;
-    }
-    programs.push_back({std::move(p), std::move(*lowered), std::move(*block)});
+    programs.push_back({std::move(p), std::move(*lowered)});
   }
   if (programs.empty()) {
     std::fprintf(stderr, "no int-closed expressions in the mix; skipping\n");
@@ -270,33 +240,14 @@ void run_eval_comparison(const char* json_path) {
     prog.run_bool(vals.data(), slots, &r);
     sink += r;
   });
-  // Block tier: each dispatch sweeps all kLanes x-candidates for one y, so a
-  // lane is the unit comparable to one scalar check.
-  constexpr std::size_t kLanes = expr::IntProgramBlock::kLanes;
-  static_assert(sizeof(xs) / sizeof(xs[0]) == kLanes,
-                "x pool doubles as the candidate lane group");
-  EvalTierResult block = time_tier(iters / kLanes, [&](std::size_t i) {
-    const auto& prog = programs[i % programs.size()].block;
-    std::int64_t vals[2] = {0, ys[i % (sizeof(ys) / sizeof(ys[0]))]};
-    unsigned char truth[kLanes], poison[kLanes];
-    prog.run(vals, slots, 0, xs, kLanes, truth, poison);
-    for (std::size_t l = 0; l < kLanes; ++l) sink += truth[l];
-  });
-  block.ns_per_check /= static_cast<double>(kLanes);
-  block.checks_per_sec *= static_cast<double>(kLanes);
-
   const double speedup = boxed.ns_per_check / fast.ns_per_check;
-  const double block_speedup = fast.ns_per_check / block.ns_per_check;
-  std::printf("\n== boxed vs int64 vs block evaluation (%zu checks, sink=%llu) ==\n",
+  std::printf("\n== boxed vs int64 evaluation (%zu checks, sink=%llu) ==\n",
               iters, static_cast<unsigned long long>(sink));
   std::printf("boxed : %8.2f ns/check  %12.0f checks/sec\n", boxed.ns_per_check,
               boxed.checks_per_sec);
   std::printf("int64 : %8.2f ns/check  %12.0f checks/sec\n", fast.ns_per_check,
               fast.checks_per_sec);
-  std::printf("block : %8.2f ns/check  %12.0f checks/sec\n", block.ns_per_check,
-              block.checks_per_sec);
-  std::printf("speedup boxed->int64: %.2fx   int64->block: %.2fx\n", speedup,
-              block_speedup);
+  std::printf("speedup boxed->int64: %.2fx\n", speedup);
 
   if (std::FILE* f = std::fopen(json_path, "w")) {
     std::fprintf(f,
@@ -307,14 +258,11 @@ void run_eval_comparison(const char* json_path) {
                  "  \"checks\": %zu,\n"
                  "  \"boxed\": {\"ns_per_check\": %.4f, \"checks_per_sec\": %.0f},\n"
                  "  \"int64\": {\"ns_per_check\": %.4f, \"checks_per_sec\": %.0f},\n"
-                 "  \"block\": {\"ns_per_check\": %.4f, \"checks_per_sec\": %.0f},\n"
-                 "  \"speedup\": %.4f,\n"
-                 "  \"speedup_block_vs_scalar\": %.4f\n"
+                 "  \"speedup\": %.4f\n"
                  "}\n",
                  TUNESPACE_CODEGEN_SUMMARY, programs.size(), iters,
                  boxed.ns_per_check, boxed.checks_per_sec, fast.ns_per_check,
-                 fast.checks_per_sec, block.ns_per_check, block.checks_per_sec,
-                 speedup, block_speedup);
+                 fast.checks_per_sec, speedup);
     std::fclose(f);
     std::printf("wrote %s\n", json_path);
   } else {

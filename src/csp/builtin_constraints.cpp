@@ -105,106 +105,6 @@ bool int_divides(std::int64_t a, std::int64_t b) {
   return a % b == 0;
 }
 
-// --- block-tier lane helpers -----------------------------------------------
-// Each helper hoists the operator switch out of the lane loop so the body is
-// a constant-trip, branch-free masked update the compiler can vectorize.
-// The comparison forms mirror the scalar helpers exactly (cmp_holds over
-// three_way, range_cmp_holds), including their NaN behaviour, so block and
-// scalar verdicts agree bit-for-bit.
-
-/// mask[i] &= cmp_holds(op, three_way(lane[i], bound)).
-void mask_cmp_bound(CmpOp op, const double* lane, double bound, std::size_t n,
-                    unsigned char* mask) {
-  switch (op) {
-    case CmpOp::Lt:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(lane[i] < bound);
-      break;
-    case CmpOp::Le:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(!(lane[i] > bound));
-      break;
-    case CmpOp::Gt:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(lane[i] > bound);
-      break;
-    case CmpOp::Ge:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(!(lane[i] < bound));
-      break;
-    case CmpOp::Eq:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(!(lane[i] < bound) && !(lane[i] > bound));
-      break;
-    case CmpOp::Ne:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(lane[i] < bound || lane[i] > bound);
-      break;
-  }
-}
-
-/// mask[i] &= range_cmp_holds(op, lo[i], hi[i], bound).
-void mask_range_bound(CmpOp op, const double* lo, const double* hi, double bound,
-                      std::size_t n, unsigned char* mask) {
-  switch (op) {
-    case CmpOp::Le:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(lo[i] <= bound);
-      break;
-    case CmpOp::Lt:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(lo[i] < bound);
-      break;
-    case CmpOp::Ge:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(hi[i] >= bound);
-      break;
-    case CmpOp::Gt:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(hi[i] > bound);
-      break;
-    case CmpOp::Eq:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(lo[i] <= bound && hi[i] >= bound);
-      break;
-    case CmpOp::Ne:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(!(lo[i] == bound && hi[i] == bound));
-      break;
-  }
-}
-
-/// mask[i] &= (a[i] <op> b[i]) over int64 lanes.
-void mask_cmp_lanes(CmpOp op, const std::int64_t* a, const std::int64_t* b,
-                    std::size_t n, unsigned char* mask) {
-  switch (op) {
-    case CmpOp::Lt:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(a[i] < b[i]);
-      break;
-    case CmpOp::Le:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(a[i] <= b[i]);
-      break;
-    case CmpOp::Gt:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(a[i] > b[i]);
-      break;
-    case CmpOp::Ge:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(a[i] >= b[i]);
-      break;
-    case CmpOp::Eq:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(a[i] == b[i]);
-      break;
-    case CmpOp::Ne:
-      for (std::size_t i = 0; i < n; ++i)
-        mask[i] &= static_cast<unsigned char>(a[i] != b[i]);
-      break;
-  }
-}
-
 std::string join_scope(const std::vector<std::string>& scope, const char* sep) {
   std::string out;
   for (std::size_t i = 0; i < scope.size(); ++i) {
@@ -284,65 +184,6 @@ bool ProductConstraint::consistent_fast(const std::int64_t* values,
   return product_range_ok(
       op_, bound_, coeff_, indices_, assigned, min_v_, max_v_,
       [&](std::uint32_t idx) { return static_cast<double>(values[idx]); });
-}
-
-void ProductConstraint::satisfied_block(std::int64_t* values, std::uint32_t var,
-                                        const std::int64_t* candidates,
-                                        std::size_t n, unsigned char* mask) const {
-  double lane[kMaxBlockLanes];
-  for (std::size_t i = 0; i < n; ++i) lane[i] = coeff_;
-  // Multiply in indices_ order so every lane reproduces satisfied_fast's
-  // double rounding bit-for-bit.
-  for (std::uint32_t idx : indices_) {
-    if (idx == var) {
-      for (std::size_t i = 0; i < n; ++i)
-        lane[i] *= static_cast<double>(candidates[i]);
-    } else {
-      const double v = static_cast<double>(values[idx]);
-      for (std::size_t i = 0; i < n; ++i) lane[i] *= v;
-    }
-  }
-  mask_cmp_bound(op_, lane, bound_, n, mask);
-}
-
-void ProductConstraint::consistent_block(std::int64_t* values,
-                                         const unsigned char* assigned,
-                                         std::uint32_t var,
-                                         const std::int64_t* candidates,
-                                         std::size_t n,
-                                         unsigned char* mask) const {
-  if (!monotone_) {
-    if (!all_assigned(assigned)) return;  // no pruning possible yet
-    satisfied_block(values, var, candidates, n, mask);
-    return;
-  }
-  double lo[kMaxBlockLanes], hi[kMaxBlockLanes];
-  for (std::size_t i = 0; i < n; ++i) {
-    lo[i] = coeff_;
-    hi[i] = coeff_;
-  }
-  for (std::size_t k = 0; k < indices_.size(); ++k) {
-    const std::uint32_t idx = indices_[k];
-    if (idx == var) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double v = static_cast<double>(candidates[i]);
-        lo[i] *= v;
-        hi[i] *= v;
-      }
-    } else if (assigned[idx]) {
-      const double v = static_cast<double>(values[idx]);
-      for (std::size_t i = 0; i < n; ++i) {
-        lo[i] *= v;
-        hi[i] *= v;
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        lo[i] *= min_v_[k];
-        hi[i] *= max_v_[k];
-      }
-    }
-  }
-  mask_range_bound(op_, lo, hi, bound_, n, mask);
 }
 
 bool ProductConstraint::preprocess(const std::vector<Domain*>& domains) {
@@ -465,65 +306,6 @@ bool SumConstraint::consistent_fast(const std::int64_t* values,
   return sum_range_ok(
       op_, bound_, weights_, indices_, assigned, min_c_, max_c_,
       [&](std::uint32_t idx) { return static_cast<double>(values[idx]); });
-}
-
-void SumConstraint::satisfied_block(std::int64_t* values, std::uint32_t var,
-                                   const std::int64_t* candidates, std::size_t n,
-                                   unsigned char* mask) const {
-  double lane[kMaxBlockLanes];
-  for (std::size_t i = 0; i < n; ++i) lane[i] = 0.0;
-  for (std::size_t k = 0; k < indices_.size(); ++k) {
-    const std::uint32_t idx = indices_[k];
-    if (idx == var) {
-      const double w = weights_[k];
-      for (std::size_t i = 0; i < n; ++i)
-        lane[i] += w * static_cast<double>(candidates[i]);
-    } else {
-      const double c = weights_[k] * static_cast<double>(values[idx]);
-      for (std::size_t i = 0; i < n; ++i) lane[i] += c;
-    }
-  }
-  mask_cmp_bound(op_, lane, bound_, n, mask);
-}
-
-void SumConstraint::consistent_block(std::int64_t* values,
-                                     const unsigned char* assigned,
-                                     std::uint32_t var,
-                                     const std::int64_t* candidates,
-                                     std::size_t n, unsigned char* mask) const {
-  if (!prepared_) {
-    if (!all_assigned(assigned)) return;
-    satisfied_block(values, var, candidates, n, mask);
-    return;
-  }
-  double lo[kMaxBlockLanes], hi[kMaxBlockLanes];
-  for (std::size_t i = 0; i < n; ++i) {
-    lo[i] = 0.0;
-    hi[i] = 0.0;
-  }
-  for (std::size_t k = 0; k < indices_.size(); ++k) {
-    const std::uint32_t idx = indices_[k];
-    if (idx == var) {
-      const double w = weights_[k];
-      for (std::size_t i = 0; i < n; ++i) {
-        const double c = w * static_cast<double>(candidates[i]);
-        lo[i] += c;
-        hi[i] += c;
-      }
-    } else if (assigned[idx]) {
-      const double c = weights_[k] * static_cast<double>(values[idx]);
-      for (std::size_t i = 0; i < n; ++i) {
-        lo[i] += c;
-        hi[i] += c;
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        lo[i] += min_c_[k];
-        hi[i] += max_c_[k];
-      }
-    }
-  }
-  mask_range_bound(op_, lo, hi, bound_, n, mask);
 }
 
 bool SumConstraint::preprocess(const std::vector<Domain*>& domains) {
@@ -649,19 +431,6 @@ bool VarComparison::satisfied_fast(const std::int64_t* values) const {
   return cmp_holds(op_, a < b ? -1 : (a > b ? 1 : 0));
 }
 
-void VarComparison::satisfied_block(std::int64_t* values, std::uint32_t var,
-                                    const std::int64_t* candidates,
-                                    std::size_t n, unsigned char* mask) const {
-  std::int64_t av[kMaxBlockLanes], bv[kMaxBlockLanes];
-  const bool a_var = indices_[0] == var;
-  const bool b_var = indices_[1] == var;
-  for (std::size_t i = 0; i < n; ++i)
-    av[i] = a_var ? candidates[i] : values[indices_[0]];
-  for (std::size_t i = 0; i < n; ++i)
-    bv[i] = b_var ? candidates[i] : values[indices_[1]];
-  mask_cmp_lanes(op_, av, bv, n, mask);
-}
-
 std::string VarComparison::describe() const {
   return scope_[0] + " " + cmp_op_name(op_) + " " + scope_[1];
 }
@@ -724,33 +493,6 @@ bool Divisibility::satisfied_fast(const std::int64_t* values) const {
   return int_divides(a, b);
 }
 
-void Divisibility::satisfied_block(std::int64_t* values, std::uint32_t var,
-                                   const std::int64_t* candidates,
-                                   std::size_t n, unsigned char* mask) const {
-  std::int64_t av[kMaxBlockLanes], bv[kMaxBlockLanes];
-  const bool a_var = indices_[0] == var;
-  for (std::size_t i = 0; i < n; ++i)
-    av[i] = a_var ? candidates[i] : values[indices_[0]];
-  if (const_divisor_) {
-    for (std::size_t i = 0; i < n; ++i) bv[i] = *const_divisor_;
-  } else {
-    const bool b_var = indices_[1] == var;
-    for (std::size_t i = 0; i < n; ++i)
-      bv[i] = b_var ? candidates[i] : values[indices_[1]];
-  }
-  // int_divides(a, b): true for b == -1 (everything divides), false for
-  // b == 0; the safe-divisor select keeps both special cases out of the
-  // hardware % (b == -1 also guards INT64_MIN % -1).
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t a = av[i];
-    const std::int64_t b = bv[i];
-    const std::int64_t zero = b == 0;
-    const std::int64_t neg1 = b == -1;
-    const std::int64_t safe = (zero | neg1) ? 1 : b;
-    mask[i] &= static_cast<unsigned char>(neg1 | ((zero ^ 1) & (a % safe == 0)));
-  }
-}
-
 std::string Divisibility::describe() const {
   if (const_divisor_) {
     return scope_[0] + " % " + std::to_string(*const_divisor_) + " == 0";
@@ -792,19 +534,6 @@ bool InSet::try_specialize(const std::vector<const Domain*>& domains) {
 
 bool InSet::satisfied_fast(const std::int64_t* values) const {
   return int_set_.contains(values[indices_[0]]) != negated_;
-}
-
-void InSet::satisfied_block(std::int64_t* values, std::uint32_t var,
-                            const std::int64_t* candidates, std::size_t n,
-                            unsigned char* mask) const {
-  if (indices_[0] != var) {
-    Constraint::satisfied_block(values, var, candidates, n, mask);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    mask[i] &=
-        static_cast<unsigned char>(int_set_.contains(candidates[i]) != negated_);
-  }
 }
 
 std::string InSet::describe() const {
@@ -871,78 +600,6 @@ bool AllDifferent::consistent_fast(const std::int64_t* values,
   return true;
 }
 
-void AllDifferent::satisfied_block(std::int64_t* values, std::uint32_t var,
-                                   const std::int64_t* candidates,
-                                   std::size_t n, unsigned char* mask) const {
-  // Check the var-independent pairs once, then each candidate only has to be
-  // compared against the fixed non-var values — one lane loop per scope var.
-  std::size_t var_count = 0;
-  for (std::uint32_t idx : indices_) var_count += idx == var;
-  if (var_count == 0) {
-    Constraint::satisfied_block(values, var, candidates, n, mask);
-    return;
-  }
-  bool uniform_ok = true;
-  for (std::size_t i = 0; i < indices_.size() && uniform_ok; ++i) {
-    if (indices_[i] == var) continue;
-    for (std::size_t j = i + 1; j < indices_.size(); ++j) {
-      if (indices_[j] == var) continue;
-      if (values[indices_[i]] == values[indices_[j]]) {
-        uniform_ok = false;
-        break;
-      }
-    }
-  }
-  if (!uniform_ok || var_count > 1) {
-    // Either the fixed part already clashes, or var appears twice (so it
-    // clashes with itself); every candidate fails.
-    for (std::size_t i = 0; i < n; ++i) mask[i] = 0;
-    return;
-  }
-  for (std::uint32_t idx : indices_) {
-    if (idx == var) continue;
-    const std::int64_t v = values[idx];
-    for (std::size_t i = 0; i < n; ++i) {
-      mask[i] &= static_cast<unsigned char>(candidates[i] != v);
-    }
-  }
-}
-
-void AllDifferent::consistent_block(std::int64_t* values,
-                                    const unsigned char* assigned,
-                                    std::uint32_t var,
-                                    const std::int64_t* candidates,
-                                    std::size_t n, unsigned char* mask) const {
-  std::size_t var_count = 0;
-  for (std::uint32_t idx : indices_) var_count += idx == var;
-  if (var_count == 0) {
-    Constraint::consistent_block(values, assigned, var, candidates, n, mask);
-    return;
-  }
-  bool uniform_ok = true;
-  for (std::size_t i = 0; i < indices_.size() && uniform_ok; ++i) {
-    if (indices_[i] == var || !assigned[indices_[i]]) continue;
-    for (std::size_t j = i + 1; j < indices_.size(); ++j) {
-      if (indices_[j] == var || !assigned[indices_[j]]) continue;
-      if (values[indices_[i]] == values[indices_[j]]) {
-        uniform_ok = false;
-        break;
-      }
-    }
-  }
-  if (!uniform_ok || var_count > 1) {
-    for (std::size_t i = 0; i < n; ++i) mask[i] = 0;
-    return;
-  }
-  for (std::uint32_t idx : indices_) {
-    if (idx == var || !assigned[idx]) continue;
-    const std::int64_t v = values[idx];
-    for (std::size_t i = 0; i < n; ++i) {
-      mask[i] &= static_cast<unsigned char>(candidates[i] != v);
-    }
-  }
-}
-
 std::string AllDifferent::describe() const {
   return "all_different(" + join_scope(scope_, ", ") + ")";
 }
@@ -992,73 +649,6 @@ bool AllEqual::consistent_fast(const std::int64_t* values,
     if (values[indices_[first]] != values[indices_[i]]) return false;
   }
   return true;
-}
-
-void AllEqual::satisfied_block(std::int64_t* values, std::uint32_t var,
-                               const std::int64_t* candidates, std::size_t n,
-                               unsigned char* mask) const {
-  std::size_t var_count = 0;
-  for (std::uint32_t idx : indices_) var_count += idx == var;
-  if (var_count == 0) {
-    Constraint::satisfied_block(values, var, candidates, n, mask);
-    return;
-  }
-  // All fixed values must already agree; each candidate then only has to
-  // match the shared reference (var == var lanes are trivially equal).
-  bool have_ref = false;
-  bool uniform = true;
-  std::int64_t ref = 0;
-  for (std::uint32_t idx : indices_) {
-    if (idx == var) continue;
-    if (!have_ref) {
-      have_ref = true;
-      ref = values[idx];
-    } else if (values[idx] != ref) {
-      uniform = false;
-      break;
-    }
-  }
-  if (!uniform) {
-    for (std::size_t i = 0; i < n; ++i) mask[i] = 0;
-    return;
-  }
-  if (!have_ref) return;  // scope is all `var`: trivially equal
-  for (std::size_t i = 0; i < n; ++i) {
-    mask[i] &= static_cast<unsigned char>(candidates[i] == ref);
-  }
-}
-
-void AllEqual::consistent_block(std::int64_t* values,
-                                const unsigned char* assigned, std::uint32_t var,
-                                const std::int64_t* candidates, std::size_t n,
-                                unsigned char* mask) const {
-  std::size_t var_count = 0;
-  for (std::uint32_t idx : indices_) var_count += idx == var;
-  if (var_count == 0) {
-    Constraint::consistent_block(values, assigned, var, candidates, n, mask);
-    return;
-  }
-  bool have_ref = false;
-  bool uniform = true;
-  std::int64_t ref = 0;
-  for (std::uint32_t idx : indices_) {
-    if (idx == var || !assigned[idx]) continue;
-    if (!have_ref) {
-      have_ref = true;
-      ref = values[idx];
-    } else if (values[idx] != ref) {
-      uniform = false;
-      break;
-    }
-  }
-  if (!uniform) {
-    for (std::size_t i = 0; i < n; ++i) mask[i] = 0;
-    return;
-  }
-  if (!have_ref) return;
-  for (std::size_t i = 0; i < n; ++i) {
-    mask[i] &= static_cast<unsigned char>(candidates[i] == ref);
-  }
 }
 
 std::string AllEqual::describe() const {

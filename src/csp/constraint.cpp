@@ -43,30 +43,6 @@ bool Constraint::consistent_fast(const std::int64_t* values,
   return satisfied_fast(values);
 }
 
-void Constraint::satisfied_block(std::int64_t* values, std::uint32_t var,
-                                 const std::int64_t* candidates, std::size_t n,
-                                 unsigned char* mask) const {
-  // Default: scalar sweep over the fast tier.  Same results as a true block
-  // implementation, just without the lane-parallel inner loops.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!mask[i]) continue;
-    values[var] = candidates[i];
-    if (!satisfied_fast(values)) mask[i] = 0;
-  }
-}
-
-void Constraint::consistent_block(std::int64_t* values,
-                                  const unsigned char* assigned,
-                                  std::uint32_t var,
-                                  const std::int64_t* candidates, std::size_t n,
-                                  unsigned char* mask) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!mask[i]) continue;
-    values[var] = candidates[i];
-    if (!consistent_fast(values, assigned)) mask[i] = 0;
-  }
-}
-
 bool domains_all_int(const std::vector<const Domain*>& domains) {
   for (const Domain* d : domains) {
     for (const Value& v : d->values()) {

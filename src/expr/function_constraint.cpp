@@ -8,9 +8,6 @@ namespace tunespace::expr {
 
 using csp::Value;
 
-static_assert(IntProgramBlock::kLanes == csp::Constraint::kMaxBlockLanes,
-              "block VM lane width must match the Constraint block contract");
-
 FunctionConstraint::FunctionConstraint(AstPtr expression, EvalMode mode)
     : Constraint(variables(*expression)), expr_(std::move(expression)), mode_(mode) {
   for (std::size_t i = 0; i < scope_.size(); ++i) name_to_scope_[scope_[i]] = i;
@@ -62,51 +59,7 @@ bool FunctionConstraint::try_specialize(const std::vector<const csp::Domain*>& d
     if (!lowered) return false;
     int_program_ = std::move(*lowered);
   }
-  if (!block_attempted_) {
-    // Best-effort: the block lowering covers a subset of the scalar fast
-    // path (jump-free constructs only); a refusal just leaves the inherited
-    // scalar-sweep satisfied_block() in place.
-    block_attempted_ = true;
-    try {
-      block_program_ = IntProgramBlock::lower(fold_constants(expr_),
-                                              program_.var_names());
-    } catch (const CompileError&) {
-    }
-  }
   return true;
-}
-
-void FunctionConstraint::satisfied_block(std::int64_t* values,
-                                         std::uint32_t var,
-                                         const std::int64_t* candidates,
-                                         std::size_t n,
-                                         unsigned char* mask) const {
-  if (!block_program_) {
-    Constraint::satisfied_block(values, var, candidates, n, mask);
-    return;
-  }
-  std::int32_t varying_slot = -1;
-  for (std::size_t s = 0; s < program_slot_to_global_.size(); ++s) {
-    if (program_slot_to_global_[s] == var) {
-      varying_slot = static_cast<std::int32_t>(s);
-      break;
-    }
-  }
-  unsigned char truth[IntProgramBlock::kLanes];
-  unsigned char poison[IntProgramBlock::kLanes];
-  block_program_->run(values, program_slot_to_global_.data(), varying_slot,
-                      candidates, n, truth, poison);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!mask[i]) continue;
-    if (poison[i]) {
-      // Lane hit an escape condition (overflow, div-by-zero, ...): replay it
-      // through the scalar chain, which ends at the boxed oracle.
-      values[var] = candidates[i];
-      if (!satisfied_fast(values)) mask[i] = 0;
-    } else {
-      mask[i] &= truth[i];
-    }
-  }
 }
 
 bool FunctionConstraint::satisfied_fast(const std::int64_t* values) const {

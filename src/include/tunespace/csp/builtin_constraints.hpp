@@ -55,12 +55,6 @@ class ProductConstraint : public Constraint {
   bool satisfied_fast(const std::int64_t* values) const override;
   bool consistent_fast(const std::int64_t* values,
                        const unsigned char* assigned) const override;
-  void satisfied_block(std::int64_t* values, std::uint32_t var,
-                       const std::int64_t* candidates, std::size_t n,
-                       unsigned char* mask) const override;
-  void consistent_block(std::int64_t* values, const unsigned char* assigned,
-                        std::uint32_t var, const std::int64_t* candidates,
-                        std::size_t n, unsigned char* mask) const override;
   std::string describe() const override;
 
   CmpOp op() const { return op_; }
@@ -122,12 +116,6 @@ class SumConstraint : public Constraint {
   bool satisfied_fast(const std::int64_t* values) const override;
   bool consistent_fast(const std::int64_t* values,
                        const unsigned char* assigned) const override;
-  void satisfied_block(std::int64_t* values, std::uint32_t var,
-                       const std::int64_t* candidates, std::size_t n,
-                       unsigned char* mask) const override;
-  void consistent_block(std::int64_t* values, const unsigned char* assigned,
-                        std::uint32_t var, const std::int64_t* candidates,
-                        std::size_t n, unsigned char* mask) const override;
   std::string describe() const override;
 
   CmpOp op() const { return op_; }
@@ -185,9 +173,6 @@ class VarComparison : public Constraint {
   bool preprocess(const std::vector<Domain*>& domains) override;
   bool try_specialize(const std::vector<const Domain*>& domains) override;
   bool satisfied_fast(const std::int64_t* values) const override;
-  void satisfied_block(std::int64_t* values, std::uint32_t var,
-                       const std::int64_t* candidates, std::size_t n,
-                       unsigned char* mask) const override;
   std::string describe() const override;
 
   CmpOp op() const { return op_; }
@@ -209,9 +194,6 @@ class Divisibility : public Constraint {
   bool preprocess(const std::vector<Domain*>& domains) override;
   bool try_specialize(const std::vector<const Domain*>& domains) override;
   bool satisfied_fast(const std::int64_t* values) const override;
-  void satisfied_block(std::int64_t* values, std::uint32_t var,
-                       const std::int64_t* candidates, std::size_t n,
-                       unsigned char* mask) const override;
   std::string describe() const override;
 
  private:
@@ -228,9 +210,6 @@ class InSet : public Constraint {
   bool preprocess(const std::vector<Domain*>& domains) override;
   bool try_specialize(const std::vector<const Domain*>& domains) override;
   bool satisfied_fast(const std::int64_t* values) const override;
-  void satisfied_block(std::int64_t* values, std::uint32_t var,
-                       const std::int64_t* candidates, std::size_t n,
-                       unsigned char* mask) const override;
   std::string describe() const override;
 
  private:
@@ -254,12 +233,6 @@ class AllDifferent : public Constraint {
   bool satisfied_fast(const std::int64_t* values) const override;
   bool consistent_fast(const std::int64_t* values,
                        const unsigned char* assigned) const override;
-  void satisfied_block(std::int64_t* values, std::uint32_t var,
-                       const std::int64_t* candidates, std::size_t n,
-                       unsigned char* mask) const override;
-  void consistent_block(std::int64_t* values, const unsigned char* assigned,
-                        std::uint32_t var, const std::int64_t* candidates,
-                        std::size_t n, unsigned char* mask) const override;
   std::string describe() const override;
 };
 
@@ -275,12 +248,6 @@ class AllEqual : public Constraint {
   bool satisfied_fast(const std::int64_t* values) const override;
   bool consistent_fast(const std::int64_t* values,
                        const unsigned char* assigned) const override;
-  void satisfied_block(std::int64_t* values, std::uint32_t var,
-                       const std::int64_t* candidates, std::size_t n,
-                       unsigned char* mask) const override;
-  void consistent_block(std::int64_t* values, const unsigned char* assigned,
-                        std::uint32_t var, const std::int64_t* candidates,
-                        std::size_t n, unsigned char* mask) const override;
   std::string describe() const override;
 };
 

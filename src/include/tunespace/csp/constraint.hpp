@@ -80,40 +80,6 @@ class Constraint {
   virtual bool consistent_fast(const std::int64_t* values,
                                const unsigned char* assigned) const;
 
-  // --- block tier ------------------------------------------------------------
-  // The candidate-filter loop in the optimized solvers sweeps a whole domain
-  // slice of one variable against a fixed partial assignment.  Specialized
-  // constraints can evaluate up to kMaxBlockLanes candidates per dispatch
-  // (structure-of-arrays, autovectorizable); everything else falls back to a
-  // scalar loop over the existing fast entry points, so the block tier is
-  // purely an execution-strategy change — never a semantic one.
-  //
-  // Shared contract for both block entry points:
-  //   * only valid after try_specialize() returned true (like *_fast);
-  //   * n <= kMaxBlockLanes; candidates[i] is the probe value for lane i;
-  //   * mask[i] != 0 marks lane i alive on entry; implementations AND their
-  //     verdict into mask (mask[i] &= result) and may skip dead lanes;
-  //   * values[var] is scratch: implementations may clobber it, callers must
-  //     rewrite it after the call before relying on it.
-
-  /// Width of one candidate lane group (matches expr::IntProgramBlock).
-  static constexpr std::size_t kMaxBlockLanes = 8;
-
-  /// Block full check: every scope variable other than `var` is assigned in
-  /// `values`; lane i tests values with values[var] = candidates[i].
-  virtual void satisfied_block(std::int64_t* values, std::uint32_t var,
-                               const std::int64_t* candidates, std::size_t n,
-                               unsigned char* mask) const;
-
-  /// Block partial check (consistent_fast over lanes).  The caller sets
-  /// assigned[var] before the call, so lane i sees the partial assignment
-  /// extended with values[var] = candidates[i].  Must only clear a lane when
-  /// no completion can satisfy the constraint.
-  virtual void consistent_block(std::int64_t* values,
-                                const unsigned char* assigned, std::uint32_t var,
-                                const std::int64_t* candidates, std::size_t n,
-                                unsigned char* mask) const;
-
   /// Partial consistency check. `assigned[i]` is nonzero iff global variable
   /// i currently has a value in `values`.  Must only return false when no
   /// completion can satisfy the constraint.  The default returns true (i.e.

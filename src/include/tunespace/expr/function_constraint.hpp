@@ -21,7 +21,6 @@
 #include "tunespace/expr/ast.hpp"
 #include "tunespace/expr/bytecode.hpp"
 #include "tunespace/expr/int_program.hpp"
-#include "tunespace/expr/int_program_block.hpp"
 
 namespace tunespace::expr {
 
@@ -45,21 +44,8 @@ class FunctionConstraint : public csp::Constraint {
   bool try_specialize(const std::vector<const csp::Domain*>& domains) override;
   bool satisfied_fast(const std::int64_t* values) const override;
 
-  /// Block tier: the expression re-lowered as a jump-free lane-group program
-  /// (expr/int_program_block.hpp).  Non-poisoned lanes are decided by one
-  /// vectorized run; poisoned lanes replay through satisfied_fast(), whose
-  /// own poison protocol ends at the boxed oracle.  When the block lowering
-  /// was refused (construct outside the jump-free subset), the inherited
-  /// scalar-sweep default applies.
-  void satisfied_block(std::int64_t* values, std::uint32_t var,
-                       const std::int64_t* candidates, std::size_t n,
-                       unsigned char* mask) const override;
-
   /// Whether try_specialize() lowered an IntProgram (exposed for tests).
   bool specialized() const { return int_program_.has_value(); }
-
-  /// Whether the block-tier lowering also succeeded (exposed for tests).
-  bool block_specialized() const { return block_program_.has_value(); }
 
   /// Single-variable function constraints are resolved by preprocessing:
   /// the domain is filtered by evaluation, after which the constraint always
@@ -81,8 +67,6 @@ class FunctionConstraint : public csp::Constraint {
   EvalMode mode_;
   Program program_;                                    // Compiled mode
   std::optional<IntProgram> int_program_;              // int64 fast path
-  std::optional<IntProgramBlock> block_program_;       // block tier
-  bool block_attempted_ = false;                       // lowering tried once
   std::vector<std::uint32_t> program_slot_to_scope_;   // program slot -> scope pos
   std::vector<std::uint32_t> program_slot_to_global_;  // built by on_bound()
   std::unordered_map<std::string, std::size_t> name_to_scope_;  // Interpreted

@@ -29,7 +29,6 @@ struct OptimizedOptions {
   bool sort_variables = true;    ///< constraint-count variable ordering
   bool partial_checks = true;    ///< early consistency checks
   bool int_fast_path = true;     ///< typed int64 evaluation for int-only scopes
-  bool block_eval = true;        ///< lane-group candidate sweeps over the fast path
 };
 
 /// Optimized backtracking solver.

@@ -29,8 +29,9 @@ struct SolveStats {
   std::uint64_t constraint_checks = 0;  ///< constraint evaluations (all tiers)
   std::uint64_t fast_checks = 0;        ///< subset taken through the int64 fast path
   std::uint64_t prunes = 0;             ///< rejections before full assignment
-  std::uint64_t block_checks = 0;       ///< block-tier constraint dispatches
-  std::uint64_t block_lanes = 0;        ///< candidate lanes covered by those dispatches
+  /// Always 0.  Counted the dispatches of a batched evaluation tier that
+  /// no longer exists; kept so existing readers of the field still compile.
+  std::uint64_t block_checks = 0;
   std::uint64_t parallel_tasks = 0;     ///< work-stealing tasks executed (0 = sequential)
   std::uint32_t parallel_workers = 0;   ///< worker threads used (0 = sequential)
   double preprocess_seconds = 0.0;      ///< domain preprocessing time
@@ -41,7 +42,7 @@ struct SolveStats {
   double stitch_seconds = 0.0;
   double total_seconds() const { return preprocess_seconds + search_seconds; }
 
-  /// Add another search's effort counters (nodes through block_lanes): how
+  /// Add another search's effort counters (nodes through prunes): how
   /// engines, tasks and worker shards fold into one total.  The parallel
   /// and timing fields are the caller's to set.
   SolveStats& operator+=(const SolveStats& other) {
@@ -49,8 +50,6 @@ struct SolveStats {
     constraint_checks += other.constraint_checks;
     fast_checks += other.fast_checks;
     prunes += other.prunes;
-    block_checks += other.block_checks;
-    block_lanes += other.block_lanes;
     return *this;
   }
 };

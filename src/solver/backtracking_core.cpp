@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <numeric>
 
 namespace tunespace::solver::detail {
@@ -142,24 +141,6 @@ SearchPlan build_plan(csp::Problem& problem, const OptimizedOptions& options,
     }
   }
 
-  // Block tier: positions whose variable has an int mirror and at least one
-  // specialized constraint sweep whole lane groups of candidates per
-  // dispatch.  TUNESPACE_BLOCK_EVAL=0 forces the scalar path at runtime
-  // (CI's differential legs and ablation-style experiments use this).
-  const char* block_env = std::getenv("TUNESPACE_BLOCK_EVAL");
-  const bool block_enabled =
-      options.int_fast_path && options.block_eval &&
-      !(block_env && block_env[0] == '0' && block_env[1] == '\0');
-  plan.block_at.assign(n, 0);
-  if (block_enabled) {
-    for (std::size_t p = 0; p < n; ++p) {
-      const std::size_t var = plan.order[p];
-      plan.block_at[p] =
-          plan.var_is_int[var] && (!plan.full_fast_at[p].empty() ||
-                                   !plan.partial_fast_at[p].empty());
-    }
-  }
-
   // Unconstrained tail: the trailing positions whose four dispatch tables
   // are empty, grown from the end while the product stays within the cap.
   plan.tail_start = n;
@@ -187,8 +168,6 @@ BacktrackingEngine::BacktrackingEngine(const SearchPlan& plan, std::size_t emit_
   assigned_.assign(n, 0);
   value_idx_.assign(n, 0);
   row_.resize(n);
-  chunk_begin_.assign(n, kNoChunk);
-  chunk_mask_.assign(n * kBlockLanes, 0);
   exhausted_ = n == 0 || plan.unsatisfiable || emit_depth_ == 0;
 }
 
@@ -216,57 +195,37 @@ bool BacktrackingEngine::accept(std::size_t p, std::size_t vi) {
   const std::size_t var = plan.order[p];
   assigned_[var] = 1;
   ++effort_.nodes;
-  bool ok;
-  if (plan.block_at[p] != 0) {
-    // Block tier: the lane-group verdicts for this position are computed
-    // once per kBlockLanes candidates and consumed from the cached mask.
-    // The mask stays valid for the whole sweep of this position (the
-    // assignment above p cannot change without descending back into it,
-    // which invalidates the chunk).
-    if (chunk_begin_[p] == kNoChunk || vi < chunk_begin_[p] ||
-        vi - chunk_begin_[p] >= kBlockLanes) {
-      compute_chunk(p, vi, plan.domains[var].size());
+  if (plan.var_is_int[var]) int_values_[var] = plan.int_values[var][vi];
+  // Boxed Values are only materialized for variables the boxed tier
+  // actually reads; all-integer problems skip this copy entirely.
+  if (plan.var_needs_boxed[var]) values_[var] = plan.domains[var][vi];
+  const bool ok = [&] {
+    for (const Constraint* c : plan.full_fast_at[p]) {
+      ++effort_.constraint_checks;
+      ++effort_.fast_checks;
+      if (!c->satisfied_fast(int_values_.data())) return false;
     }
-    ok = chunk_mask_[p * kBlockLanes + (vi - chunk_begin_[p])] != 0;
-    if (ok) {
-      // compute_chunk() used the assignment slots as lane scratch;
-      // rewrite them with this candidate for the descent below.
-      int_values_[var] = plan.int_values[var][vi];
-      if (plan.var_needs_boxed[var]) values_[var] = plan.domains[var][vi];
+    for (const Constraint* c : plan.full_at[p]) {
+      ++effort_.constraint_checks;
+      if (!c->satisfied(values_.data())) return false;
     }
-  } else {
-    if (plan.var_is_int[var]) int_values_[var] = plan.int_values[var][vi];
-    // Boxed Values are only materialized for variables the boxed tier
-    // actually reads; all-integer problems skip this copy entirely.
-    if (plan.var_needs_boxed[var]) values_[var] = plan.domains[var][vi];
-    ok = [&] {
-      for (const Constraint* c : plan.full_fast_at[p]) {
-        ++effort_.constraint_checks;
-        ++effort_.fast_checks;
-        if (!c->satisfied_fast(int_values_.data())) return false;
+    for (const Constraint* c : plan.partial_fast_at[p]) {
+      ++effort_.constraint_checks;
+      ++effort_.fast_checks;
+      if (!c->consistent_fast(int_values_.data(), assigned_.data())) {
+        ++effort_.prunes;
+        return false;
       }
-      for (const Constraint* c : plan.full_at[p]) {
-        ++effort_.constraint_checks;
-        if (!c->satisfied(values_.data())) return false;
+    }
+    for (const Constraint* c : plan.partial_at[p]) {
+      ++effort_.constraint_checks;
+      if (!c->consistent(values_.data(), assigned_.data())) {
+        ++effort_.prunes;
+        return false;
       }
-      for (const Constraint* c : plan.partial_fast_at[p]) {
-        ++effort_.constraint_checks;
-        ++effort_.fast_checks;
-        if (!c->consistent_fast(int_values_.data(), assigned_.data())) {
-          ++effort_.prunes;
-          return false;
-        }
-      }
-      for (const Constraint* c : plan.partial_at[p]) {
-        ++effort_.constraint_checks;
-        if (!c->consistent(values_.data(), assigned_.data())) {
-          ++effort_.prunes;
-          return false;
-        }
-      }
-      return true;
-    }();
-  }
+    }
+    return true;
+  }();
   if (!ok) {
     assigned_[var] = 0;
     return false;
@@ -401,76 +360,6 @@ std::uint64_t BacktrackingEngine::drain_prefixes(SolutionSet& out) {
     out.mutable_column(var).append_run(row_[var], prefixes * rows_per_prefix);
   }
   return prefixes;
-}
-
-void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,
-                                       std::size_t limit) {
-  const SearchPlan& plan = *plan_;
-  const std::size_t var = plan.order[p];
-  const std::size_t m = std::min(kBlockLanes, limit - vi0);
-  unsigned char* mask = &chunk_mask_[p * kBlockLanes];
-  for (std::size_t i = 0; i < kBlockLanes; ++i) mask[i] = i < m ? 1 : 0;
-  chunk_begin_[p] = vi0;
-  const std::int64_t* cand = plan.int_values[var].data() + vi0;
-
-  const auto alive = [&]() {
-    std::uint64_t a = 0;
-    for (std::size_t i = 0; i < m; ++i) a += mask[i] != 0;
-    return a;
-  };
-
-  // Tier order and effort accounting mirror the scalar sweep per candidate:
-  // a lane is charged one check per constraint it is still alive for, full
-  // tiers run before partial tiers, and a lane killed by a constraint is
-  // never charged for the ones after it.
-  for (const Constraint* c : plan.full_fast_at[p]) {
-    const std::uint64_t a = alive();
-    if (a == 0) return;
-    effort_.constraint_checks += a;
-    effort_.fast_checks += a;
-    ++effort_.block_checks;
-    effort_.block_lanes += a;
-    c->satisfied_block(int_values_.data(), static_cast<std::uint32_t>(var),
-                       cand, m, mask);
-  }
-  if (!plan.full_at[p].empty()) {
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!mask[i]) continue;
-      values_[var] = plan.domains[var][vi0 + i];
-      for (const Constraint* c : plan.full_at[p]) {
-        ++effort_.constraint_checks;
-        if (!c->satisfied(values_.data())) {
-          mask[i] = 0;
-          break;
-        }
-      }
-    }
-  }
-  for (const Constraint* c : plan.partial_fast_at[p]) {
-    const std::uint64_t before = alive();
-    if (before == 0) return;
-    effort_.constraint_checks += before;
-    effort_.fast_checks += before;
-    ++effort_.block_checks;
-    effort_.block_lanes += before;
-    c->consistent_block(int_values_.data(), assigned_.data(),
-                        static_cast<std::uint32_t>(var), cand, m, mask);
-    effort_.prunes += before - alive();
-  }
-  if (!plan.partial_at[p].empty()) {
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!mask[i]) continue;
-      values_[var] = plan.domains[var][vi0 + i];
-      for (const Constraint* c : plan.partial_at[p]) {
-        ++effort_.constraint_checks;
-        if (!c->consistent(values_.data(), assigned_.data())) {
-          mask[i] = 0;
-          ++effort_.prunes;
-          break;
-        }
-      }
-    }
-  }
 }
 
 }  // namespace tunespace::solver::detail

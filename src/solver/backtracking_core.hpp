@@ -78,7 +78,6 @@ struct SearchPlan {
   std::vector<std::vector<std::int64_t>> int_values;   ///< per int var: domain mirror
   std::vector<unsigned char> var_is_int;               ///< domain is int/bool only
   std::vector<unsigned char> var_needs_boxed;          ///< boxed tier reads this var
-  std::vector<unsigned char> block_at;                 ///< block tier on at position
   /// First position of the unconstrained tail: positions [tail_start, n)
   /// dispatch no constraint, and their Cartesian product is at most
   /// kMaxTailRows rows.
@@ -165,12 +164,6 @@ class BacktrackingEngine {
   const SolveStats& effort() const { return effort_; }
 
  private:
-  /// One candidate lane group per block-enabled position (matches the
-  /// Constraint block contract and expr::IntProgramBlock).
-  static constexpr std::size_t kBlockLanes = csp::Constraint::kMaxBlockLanes;
-  /// chunk_begin_ sentinel: no valid lane-group mask cached at a position.
-  static constexpr std::size_t kNoChunk = static_cast<std::size_t>(-1);
-
   /// Try candidate `vi` of search position `p` against the current partial
   /// assignment, charging its node and checks.  On acceptance the candidate
   /// stays assigned and row_ holds its original index; on rejection the
@@ -181,16 +174,7 @@ class BacktrackingEngine {
   void descend() {
     ++p_;
     value_idx_[p_] = 0;
-    chunk_begin_[p_] = kNoChunk;  // new parent assignment: stale lane masks
   }
-
-  /// Evaluate the lane group [vi0, min(vi0 + kBlockLanes, limit)) of search
-  /// position `p` against the current partial assignment, filling
-  /// chunk_mask_.  Charges checks, fast checks and prunes exactly as the
-  /// scalar per-candidate sweep would (lanes count as individual checks;
-  /// dead lanes stop being charged), so solver stats are independent of
-  /// whether the block tier is on.
-  void compute_chunk(std::size_t p, std::size_t vi0, std::size_t limit);
 
   const SearchPlan* plan_;
   std::size_t base_ = 0;        ///< backtracking floor (prefix length)
@@ -200,8 +184,6 @@ class BacktrackingEngine {
   std::vector<unsigned char> assigned_;
   std::vector<std::size_t> value_idx_;
   std::vector<std::uint32_t> row_;
-  std::vector<std::size_t> chunk_begin_;  ///< per position: first lane index
-  std::vector<unsigned char> chunk_mask_; ///< per position: kBlockLanes verdicts
   std::size_t p_ = 0;
   bool exhausted_ = false;
   SolveStats effort_;

@@ -164,19 +164,19 @@ TEST(FuzzDifferential, AllEnginesMatchOracleOverRandomSpecs) {
   }
 }
 
-// Block-tier wall, constraint level: for every specialized constraint of
-// every random spec, sweep domain slices through satisfied_block in ragged
-// chunks and require lane-for-lane agreement with the scalar fast tier
-// (whose poison protocol ends at the boxed oracle) AND with the tree
-// interpreter over the unlowered expression (EvalError => invalid).  This is
-// the mask-level counterpart of the row-level engine wall above.
-TEST(FuzzDifferential, BlockMasksMatchScalarAndOracleLaneForLane) {
+// Fast-path wall, constraint level: for every specialized constraint of
+// every random spec, sweep each scope variable's whole domain through
+// satisfied_fast (whose poison protocol ends at the boxed oracle) under
+// random assignments of the other variables, and require agreement with the
+// tree interpreter over the unlowered expression (EvalError => invalid).
+// This is the verdict-level counterpart of the row-level engine wall above.
+TEST(FuzzDifferential, FastPathVerdictsMatchOracleOverDomainSweeps) {
   const std::uint64_t base = env_u64("TUNESPACE_FUZZ_SEED_BASE", 1);
   const std::uint64_t count = env_u64("TUNESPACE_FUZZ_SEED_COUNT", 50);
   const std::uint64_t wall_cap = env_u64("TUNESPACE_FUZZ_WALL_SECONDS", 0);
 
   util::WallTimer wall;
-  std::uint64_t completed = 0, specialized = 0, lanes = 0;
+  std::uint64_t completed = 0, specialized = 0, verdicts = 0;
   for (std::uint64_t seed = base; seed < base + count; ++seed) {
     if (wall_cap > 0 && wall.seconds() > static_cast<double>(wall_cap)) break;
 
@@ -203,26 +203,18 @@ TEST(FuzzDifferential, BlockMasksMatchScalarAndOracleLaneForLane) {
       ++specialized;
 
       for (int rep = 0; rep < 6; ++rep) {
-        // Random full assignment, then sweep a random scope variable's
-        // domain through the block entry point in ragged chunks.
+        // Random full assignment, then sweep every scope variable's domain
+        // with the others held fixed.
         std::vector<std::int64_t> values(params.size());
         for (std::size_t p = 0; p < params.size(); ++p) {
           values[p] =
               params[p].values[rng.index(params[p].values.size())].as_int();
         }
-        const std::uint32_t var = indices[rng.index(indices.size())];
-        const auto& dom = params[var].values;
-        const std::size_t chunk = 1 + rng.index(csp::Constraint::kMaxBlockLanes);
-        for (std::size_t start = 0; start < dom.size(); start += chunk) {
-          const std::size_t n = std::min(chunk, dom.size() - start);
-          std::int64_t candidates[csp::Constraint::kMaxBlockLanes];
-          unsigned char mask[csp::Constraint::kMaxBlockLanes];
-          unsigned char expect[csp::Constraint::kMaxBlockLanes];
-          for (std::size_t i = 0; i < n; ++i) {
-            candidates[i] = dom[start + i].as_int();
-            mask[i] = 1;
-            values[var] = candidates[i];
-            const bool scalar = c.satisfied_fast(values.data());
+        for (const std::uint32_t var : indices) {
+          const std::int64_t held = values[var];
+          for (const csp::Value& candidate : params[var].values) {
+            values[var] = candidate.as_int();
+            const bool fast = c.satisfied_fast(values.data());
             bool oracle;
             try {
               oracle = expr::eval_bool(
@@ -235,35 +227,31 @@ TEST(FuzzDifferential, BlockMasksMatchScalarAndOracleLaneForLane) {
             } catch (const expr::EvalError&) {
               oracle = false;  // raising configurations are invalid
             }
-            ASSERT_EQ(scalar, oracle) << text << " seed " << seed;
-            expect[i] = scalar ? 1 : 0;
-          }
-          c.satisfied_block(values.data(), var, candidates, n, mask);
-          for (std::size_t i = 0; i < n; ++i) {
-            ++lanes;
-            ASSERT_EQ(mask[i] != 0, expect[i] != 0)
-                << text << " seed " << seed << " lane " << i << " candidate "
-                << candidates[i]
+            ++verdicts;
+            ASSERT_EQ(fast, oracle)
+                << text << " seed " << seed << " " << params[var].name << " = "
+                << values[var]
                 << "\n  reproduce with: TUNESPACE_FUZZ_SEED_BASE=" << seed
                 << " TUNESPACE_FUZZ_SEED_COUNT=1 ./test_fuzz_differential";
           }
+          values[var] = held;
         }
       }
     }
     ++completed;
   }
-  std::cout << "[fuzz] block tier: " << completed << "/" << count << " seeds, "
-            << specialized << " specialized constraints, " << lanes
-            << " lanes verified (" << wall.seconds() << "s)\n";
+  std::cout << "[fuzz] fast path: " << completed << "/" << count << " seeds, "
+            << specialized << " specialized constraints, " << verdicts
+            << " verdicts verified (" << wall.seconds() << "s)\n";
   if (wall_cap == 0) {
     EXPECT_EQ(completed, count);
   }
 }
 
-// Block-tier wall, solver level: enabling the block evaluator must change
-// nothing observable — same rows AND the same effort counters, because lanes
-// are charged as individual fast checks.
-TEST(FuzzDifferential, BlockOnOffRowsAndEffortIdentical) {
+// Fast-path wall, solver level: the int64 tier must change nothing
+// observable but fast_checks — same rows and the same nodes, checks and
+// prunes as the boxed tier alone.
+TEST(FuzzDifferential, FastPathOnOffRowsAndEffortIdentical) {
   const std::uint64_t base = env_u64("TUNESPACE_FUZZ_SEED_BASE", 1);
   const std::uint64_t count = env_u64("TUNESPACE_FUZZ_SEED_COUNT", 50);
   const std::uint64_t wall_cap = env_u64("TUNESPACE_FUZZ_WALL_SECONDS", 0);
@@ -279,22 +267,20 @@ TEST(FuzzDifferential, BlockOnOffRowsAndEffortIdentical) {
     csp::Problem p_off =
         tuner::build_problem(spec, tuner::PipelineOptions::optimized());
     solver::OptimizedOptions off;
-    off.block_eval = false;
+    off.int_fast_path = false;
 
     const auto on = solver::OptimizedBacktracking().solve(p_on);
-    const auto scalar = solver::OptimizedBacktracking(off).solve(p_off);
-    ASSERT_EQ(scalar.stats.block_checks, 0u) << "seed " << seed;
-    ASSERT_EQ(on.solutions.sorted_rows(), scalar.solutions.sorted_rows())
+    const auto boxed = solver::OptimizedBacktracking(off).solve(p_off);
+    ASSERT_EQ(boxed.stats.fast_checks, 0u) << "seed " << seed;
+    ASSERT_EQ(on.solutions.sorted_rows(), boxed.solutions.sorted_rows())
         << "seed " << seed;
-    ASSERT_EQ(on.stats.nodes, scalar.stats.nodes) << "seed " << seed;
-    ASSERT_EQ(on.stats.constraint_checks, scalar.stats.constraint_checks)
+    ASSERT_EQ(on.stats.nodes, boxed.stats.nodes) << "seed " << seed;
+    ASSERT_EQ(on.stats.constraint_checks, boxed.stats.constraint_checks)
         << "seed " << seed;
-    ASSERT_EQ(on.stats.fast_checks, scalar.stats.fast_checks)
-        << "seed " << seed;
-    ASSERT_EQ(on.stats.prunes, scalar.stats.prunes) << "seed " << seed;
+    ASSERT_EQ(on.stats.prunes, boxed.stats.prunes) << "seed " << seed;
     ++completed;
   }
-  std::cout << "[fuzz] block on/off: " << completed << "/" << count
+  std::cout << "[fuzz] fast path on/off: " << completed << "/" << count
             << " seeds identical (" << wall.seconds() << "s)\n";
   if (wall_cap == 0) {
     EXPECT_EQ(completed, count);

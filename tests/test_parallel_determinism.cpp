@@ -38,20 +38,13 @@ void expect_identical(const SolutionSet& a, const SolutionSet& b,
   }
 }
 
+/// Every effort counter of SolveStats.
 void expect_same_effort(const SolveStats& a, const SolveStats& b,
                         const std::string& what) {
   EXPECT_EQ(a.nodes, b.nodes) << what;
   EXPECT_EQ(a.constraint_checks, b.constraint_checks) << what;
   EXPECT_EQ(a.fast_checks, b.fast_checks) << what;
   EXPECT_EQ(a.prunes, b.prunes) << what;
-}
-
-/// Every effort counter of SolveStats, the block-tier ones included.
-void expect_same_counters(const SolveStats& a, const SolveStats& b,
-                          const std::string& what) {
-  expect_same_effort(a, b, what);
-  EXPECT_EQ(a.block_checks, b.block_checks) << what;
-  EXPECT_EQ(a.block_lanes, b.block_lanes) << what;
 }
 
 /// drain() against a next() loop over one plan: the full search, then the
@@ -69,7 +62,7 @@ std::size_t expect_drain_matches_next(const csp::Problem& problem,
     detail::BacktrackingEngine lazy = make_engine();
     while (lazy.next()) looped.append(lazy.row().data());
     expect_identical(drained, looped, where);
-    expect_same_counters(bulk.effort(), lazy.effort(), where);
+    expect_same_effort(bulk.effort(), lazy.effort(), where);
     return drained.size();
   };
   const std::size_t rows =
@@ -174,12 +167,11 @@ TEST_P(ParallelEquivalence, SplitDepthAndStealPolicyDoNotChangeResults) {
 TEST_P(ParallelEquivalence, DrainMatchesNextLoop) {
   const std::uint64_t seed = GetParam();
   // Small spaces: every prefix seed at every depth is drained separately,
-  // through the block tier, the scalar int64 tier and the boxed tier.
+  // through the int64 tier and the boxed tier.
   csp::Problem problem = synthetic_problem(4, 3000, 1 + seed % 5, seed);
-  const OptimizedOptions scalar{true, true, true, true, false};
-  const OptimizedOptions boxed{true, true, true, false, false};
-  const OptimizedOptions unsorted{true, false, false, true, true};
-  for (const OptimizedOptions& options : {OptimizedOptions{}, scalar, boxed, unsorted}) {
+  const OptimizedOptions boxed{true, true, true, false};
+  const OptimizedOptions unsorted{true, false, false, true};
+  for (const OptimizedOptions& options : {OptimizedOptions{}, boxed, unsorted}) {
     const detail::SearchPlan plan = plan_for(problem, options);
     EXPECT_GT(expect_drain_matches_next(problem, plan, "seed " + std::to_string(seed)),
               100u);
@@ -267,7 +259,7 @@ TEST(DrainMatchesNext, RealWorldSpacesSequential) {
     detail::BacktrackingEngine lazy(plan);
     while (lazy.next()) looped.append(lazy.row().data());
     expect_identical(drained, looped, space.name);
-    expect_same_counters(bulk.effort(), lazy.effort(), space.name);
+    expect_same_effort(bulk.effort(), lazy.effort(), space.name);
   }
 }
 
@@ -335,7 +327,7 @@ TEST(DrainMatchesNext, SplitDepthAtOrPastTailStart) {
     const auto parallel = ParallelBacktracking(options).solve(p_par);
     const std::string what = "split depth " + std::to_string(split_depth);
     expect_identical(parallel.solutions, sequential.solutions, what);
-    expect_same_counters(parallel.stats, sequential.stats, what);
+    expect_same_effort(parallel.stats, sequential.stats, what);
   }
 }
 
