@@ -1,9 +1,9 @@
-// Strong-scaling benchmark of the work-stealing parallel engine, emitted as
+// Strong-scaling benchmark of the parallel backtracking engine, emitted as
 // BENCH_scaling.json (threads -> seconds/speedup per suite).
 //
 // Suites: synthetic dense (1 constraint, enumeration-bound), synthetic
-// sparse (6 constraints, pruning-heavy and skew-prone — the work-stealing
-// showcase), and the GEMM / Hotspot real-world spaces.  Every parallel run
+// sparse (6 constraints, pruning-heavy and skew-prone subtrees), and the
+// GEMM / Hotspot real-world spaces.  Every parallel run
 // is verified byte-identical to the sequential enumeration; a mismatch is a
 // hard failure regardless of flags.
 //
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
   };
   std::vector<SuiteReport> reports;
 
-  bench::section("Work-stealing parallel engine: strong scaling");
+  bench::section("Parallel backtracking engine: strong scaling");
   util::Table table(
       {"suite", "threads", "time", "expand", "stitch", "speedup", "identical"});
   for (const Suite& suite : suites) {

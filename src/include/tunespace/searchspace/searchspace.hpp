@@ -53,7 +53,7 @@ class SearchSpace {
   /// Construct from a spec with an explicit method (benchmarks use this).
   SearchSpace(const tuner::TuningProblem& spec, const tuner::Method& method);
 
-  /// Construct from a spec with the work-stealing parallel engine (full
+  /// Construct from a spec with the parallel backtracking engine (full
   /// pipeline + ParallelBacktracking).  The resolved space is byte-identical
   /// to the sequential construction.
   SearchSpace(const tuner::TuningProblem& spec,

@@ -1,14 +1,13 @@
 #pragma once
-// ParallelBacktracking: work-stealing multi-threaded variant of the
-// optimized solver.
+// ParallelBacktracking: multi-threaded variant of the optimized solver.
 //
 // The search tree is split at a configurable prefix depth D: a sequential
 // *prefix expansion* enumerates every valid assignment of the first D search
 // positions (charging exactly the effort the sequential search spends on the
 // top D levels), and each valid prefix becomes one task — the subtree below
-// it.  Tasks are distributed over per-worker deques; idle workers steal the
-// back half of a victim's oldest task range, so skewed subtrees split
-// adaptively instead of serializing the tail (see work_stealing.hpp).
+// it.  Workers take tasks in ascending rank order from one shared counter
+// (util/task_pool.hpp); the auto split depth yields ~8 tasks per worker, so
+// a skewed subtree leaves the other workers enough tasks to stay busy.
 //
 // Every worker appends solutions into its own sharded SolutionSet (no shared
 // append lock) and records one (prefix-rank, begin, count) segment per task;
@@ -33,7 +32,7 @@ class ParallelBacktracking : public Solver {
     parallel_.threads = threads;
   }
 
-  /// Full control over threads, split depth and steal policy.
+  /// Full control over threads and split depth.
   explicit ParallelBacktracking(SolverOptions parallel,
                                 OptimizedOptions options = {})
       : parallel_(parallel), options_(options) {}

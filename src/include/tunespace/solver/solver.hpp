@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "tunespace/csp/problem.hpp"
@@ -32,7 +31,7 @@ struct SolveStats {
   /// Always 0.  Counted the dispatches of a batched evaluation tier that
   /// no longer exists; kept so existing readers of the field still compile.
   std::uint64_t block_checks = 0;
-  std::uint64_t parallel_tasks = 0;     ///< work-stealing tasks executed (0 = sequential)
+  std::uint64_t parallel_tasks = 0;     ///< parallel tasks executed (0 = sequential)
   std::uint32_t parallel_workers = 0;   ///< worker threads used (0 = sequential)
   double preprocess_seconds = 0.0;      ///< domain preprocessing time
   double search_seconds = 0.0;          ///< enumeration time
@@ -54,33 +53,16 @@ struct SolveStats {
   }
 };
 
-/// How an idle worker picks steal victims when its own deque runs dry.
-enum class StealPolicy {
-  kSequential,  ///< scan victims round-robin starting at worker id + 1
-  kRandom,      ///< per-worker deterministic xorshift victim order
-};
-
-/// Execution options shared by the parallel construction engines
-/// (ParallelBacktracking, parallel ChainOfTrees, SearchSpace).  Neither the
-/// solution order nor the effort counters depend on any of these knobs; they
-/// only steer how the deterministic result is computed.
+/// Execution options of the parallel construction engine
+/// (ParallelBacktracking, SearchSpace).  Neither the solution order nor the
+/// effort counters depend on these knobs; they only steer how the
+/// deterministic result is computed.
 struct SolverOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
+  /// Worker threads; 0 = one per hardware thread.
   std::size_t threads = 0;
   /// Assignment-prefix length used to split the search tree into tasks;
-  /// 0 = auto (grow until ~tasks_per_thread tasks per worker exist).
+  /// 0 = auto (grow until ~8 tasks per worker exist).
   std::size_t split_depth = 0;
-  /// Auto split-depth granularity target (tasks per worker).
-  std::size_t tasks_per_thread = 8;
-  /// Victim-selection policy for work stealing.
-  StealPolicy steal = StealPolicy::kRandom;
-
-  /// Worker count after applying the hardware-concurrency default (>= 1);
-  /// the single resolution point shared by every parallel engine.
-  std::size_t resolve_threads() const {
-    std::size_t workers = threads ? threads : std::thread::hardware_concurrency();
-    return workers ? workers : 1;
-  }
 };
 
 /// Column-major bit-packed store of all valid configurations.
@@ -117,21 +99,6 @@ class SolutionSet {
   /// column (the backtracking engine's runs, the parallel stitch).  The set
   /// is well-formed again once every column holds the same number of rows.
   PackedColumn& mutable_column(std::size_t var) { return columns_[var]; }
-
-  /// Append all solutions of another set (column-wise bulk bit copy; used by
-  /// the parallel solver to merge per-thread results cheaply).
-  void append_all(const SolutionSet& other) {
-    append_range(other, 0, other.size());
-  }
-
-  /// Append `count` solutions of another set starting at row `begin`
-  /// (column-wise bulk bit copy).
-  void append_range(const SolutionSet& other, std::size_t begin,
-                    std::size_t count) {
-    for (std::size_t v = 0; v < columns_.size(); ++v) {
-      columns_[v].append(other.columns_[v], begin, count);
-    }
-  }
 
   /// Domain value index of variable `var` in solution `row`.
   std::uint32_t value_index(std::size_t row, std::size_t var) const {

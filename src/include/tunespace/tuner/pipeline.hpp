@@ -65,7 +65,7 @@ std::vector<Method> construction_methods(bool include_blocking = false);
 /// The default user-path method: full pipeline + OptimizedBacktracking.
 Method optimized_method();
 
-/// The optimized method on the work-stealing parallel engine (full pipeline
+/// The optimized method on the parallel backtracking engine (full pipeline
 /// + ParallelBacktracking).  Produces byte-identical results to the
 /// "optimized" method; benches and the SearchSpace layer use it to scale
 /// construction across cores.

@@ -362,7 +362,7 @@ struct SessionResult {
 
 /// Options for a SessionManager.
 struct SessionManagerOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
+  /// Worker threads; 0 = one per hardware thread.
   std::size_t workers = 0;
   /// When non-empty, shared spaces resolve through
   /// SearchSpace::load_or_build(spec, method, snapshot_cache_dir), so a
@@ -372,8 +372,6 @@ struct SessionManagerOptions {
   bool share_spaces = true;
   /// Share kernel measurements between sessions via SharedEvalCache.
   bool share_evaluations = true;
-  /// Lock stripes of the shared evaluation cache.
-  std::size_t cache_stripes = 64;
 };
 
 /// Schedules many tuning sessions over a worker pool, sharing immutable
@@ -391,7 +389,8 @@ class SessionManager {
   /// Each session's TuningRun is identical to what an isolated run_session
   /// with the same spec, optimizer, and options would produce (fix
   /// TuningOptions::fixed_construction_seconds for bit-exact equality —
-  /// measured construction latency is machine noise).
+  /// measured construction latency is machine noise).  When a session
+  /// throws, no further session starts and the first exception is rethrown.
   std::vector<SessionResult> run_all(std::vector<SessionRequest> requests);
 
   /// The shared space for (spec, method): built at most once per

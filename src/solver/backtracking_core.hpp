@@ -39,7 +39,7 @@
 //     nodes/checks the sequential search spends on the top D levels);
 //   * a prefix seed fixes positions [0, D) to one expanded prefix and
 //     enumerates only the subtree below it, never backtracking above D.
-// Together they let the work-stealing parallel solver split the search tree
+// Together they let the parallel solver split the search tree
 // at any depth while keeping the union of all engines' effort counters
 // exactly equal to a single sequential enumeration.  A seed may reach into
 // the tail; its subtree is then all tail and holds one prefix.  All tasks

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "tunespace/util/timer.hpp"
-#include "work_stealing.hpp"
 
 namespace tunespace::solver {
 
@@ -47,9 +46,7 @@ struct GroupBuild {
   std::vector<std::vector<std::uint32_t>> combos;   // enumerated leaves
 };
 
-/// Per-worker mutable state of the tree build.  The sequential construction
-/// uses one; the parallel construction gives each worker its own, so root
-/// subtrees build concurrently without sharing any assignment scratch.
+/// Mutable assignment state threaded through the recursive tree build.
 struct BuildCtx {
   explicit BuildCtx(std::size_t n)
       : values(n), int_values(n, 0), assigned(n, 0) {}
@@ -164,8 +161,7 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
 
   // Recursive lambda building (and validating) the node for value `vi` of
   // position `depth`; returns false when the node fails its checks or has no
-  // valid completion below.  All mutable state lives in the BuildCtx, so the
-  // parallel construction can run one instance per worker.
+  // valid completion below.  All mutable state lives in the BuildCtx.
   auto build_node = [&](auto&& self, BuildCtx& ctx, const GroupBuild& group,
                         std::size_t depth, std::uint32_t vi,
                         TreeNode& out) -> bool {
@@ -225,66 +221,18 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
     return true;
   };
 
-  const bool use_parallel = parallel_enabled_ && !interpreter_overhead_;
-  const std::size_t workers = use_parallel ? parallel_.resolve_threads() : 1;
-
-  if (use_parallel) {
-    // One task per chain block subtree: each root value of each group's tree
-    // builds independently; results are collected back in (group, root) rank
-    // order, so the trees are identical to the sequential construction.
-    // (Corner case: when some group turns out unsatisfiable, the sequential
-    // build stops at that group while this path has already built the rest,
-    // so effort counters can exceed the sequential ones — the result is
-    // still identical: empty.)
-    struct RootTask {
-      std::uint32_t group = 0;
-      std::uint32_t vi = 0;
-    };
-    std::vector<RootTask> root_tasks;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const csp::Domain& dom = problem.domain(groups[g].vars[0]);
-      for (std::uint32_t vi = 0; vi < dom.size(); ++vi) {
-        root_tasks.push_back(
-            RootTask{static_cast<std::uint32_t>(g), vi});
-      }
-    }
-    std::vector<std::pair<unsigned char, TreeNode>> built(root_tasks.size());
-    detail::WorkStealingScheduler scheduler(root_tasks.size(), workers,
-                                            parallel_.steal);
-    std::vector<BuildCtx> ctxs(scheduler.workers(), BuildCtx(n));
-    scheduler.run([&](std::size_t w, std::uint32_t t) {
-      const RootTask& task = root_tasks[t];
+  BuildCtx ctx(n);
+  for (GroupBuild& group : groups) {
+    const csp::Domain& dom = problem.domain(group.vars[0]);
+    for (std::uint32_t vi = 0; vi < dom.size(); ++vi) {
       TreeNode node;
-      if (build_node(build_node, ctxs[w], groups[task.group], 0, task.vi,
-                     node)) {
-        built[t] = {1, std::move(node)};
-      }
-    });
-    result.stats.parallel_tasks += root_tasks.size();
-    result.stats.parallel_workers =
-        static_cast<std::uint32_t>(scheduler.workers());
-    for (const BuildCtx& ctx : ctxs) result.stats += ctx.effort;
-    std::size_t t = 0;
-    for (GroupBuild& group : groups) {
-      const csp::Domain& dom = problem.domain(group.vars[0]);
-      for (std::uint32_t vi = 0; vi < dom.size(); ++vi, ++t) {
-        if (built[t].first) group.roots.push_back(std::move(built[t].second));
+      if (build_node(build_node, ctx, group, 0, vi, node)) {
+        group.roots.push_back(std::move(node));
       }
     }
-  } else {
-    BuildCtx ctx(n);
-    for (GroupBuild& group : groups) {
-      const csp::Domain& dom = problem.domain(group.vars[0]);
-      for (std::uint32_t vi = 0; vi < dom.size(); ++vi) {
-        TreeNode node;
-        if (build_node(build_node, ctx, group, 0, vi, node)) {
-          group.roots.push_back(std::move(node));
-        }
-      }
-      if (group.roots.empty()) break;  // one empty group empties the chain
-    }
-    result.stats += ctx.effort;
+    if (group.roots.empty()) break;  // one empty group empties the chain
   }
+  result.stats += ctx.effort;
 
   for (const GroupBuild& group : groups) {
     if (group.roots.empty()) {
@@ -312,8 +260,7 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
   }
 
   // --- Link the chain: cross product of per-group combinations -------------
-  // The last group is the fastest-cycling odometer digit, so global row
-  // index r decomposes into per-group picks by mod/div from the back.
+  // The last group is the fastest-cycling odometer digit.
   std::uint64_t total = 1;
   for (const GroupBuild& group : groups) total *= group.combos.size();
 
@@ -335,53 +282,21 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
     }
   };
 
-  if (use_parallel && workers > 1 && total > 1) {
-    // Chunked materialization: each chunk decodes its starting picks from
-    // the global row index and fills a private SolutionSet; chunk-order
-    // concatenation reproduces the sequential enumeration byte-for-byte.
-    const std::size_t num_chunks =
-        static_cast<std::size_t>(std::min<std::uint64_t>(total, workers * 4));
-    std::vector<SolutionSet> chunk_sets(num_chunks);
-    for (auto& set : chunk_sets) set = SolutionSet(problem);
-    detail::WorkStealingScheduler scheduler(num_chunks, workers, parallel_.steal);
-    scheduler.run([&](std::size_t, std::uint32_t c) {
-      const std::uint64_t lo = total * c / num_chunks;
-      const std::uint64_t hi = total * (c + 1) / num_chunks;
-      std::vector<std::size_t> pick(groups.size(), 0);
-      std::uint64_t r = lo;
-      for (std::size_t g = groups.size(); g-- > 0;) {
-        pick[g] = static_cast<std::size_t>(r % groups[g].combos.size());
-        r /= groups[g].combos.size();
+  BuildCtx py_ctx(0);  // pyATF per-solution dictionary sink
+  std::vector<std::size_t> pick(groups.size(), 0);
+  std::vector<std::uint32_t> row(n);
+  for (std::uint64_t i = 0; i < total; ++i) {
+    compose(pick, row);
+    if (interpreter_overhead_) {
+      // pyATF yields each configuration as a freshly-allocated dictionary.
+      std::unordered_map<std::string, Value> solution_config;
+      for (std::size_t v = 0; v < n; ++v) {
+        solution_config[problem.name(v)] = problem.domain(v)[row[v]];
       }
-      std::vector<std::uint32_t> row(n);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        compose(pick, row);
-        chunk_sets[c].append(row.data());
-        advance(pick);
-      }
-    });
-    result.stats.parallel_tasks += num_chunks;
-    result.stats.parallel_workers =
-        std::max(result.stats.parallel_workers,
-                 static_cast<std::uint32_t>(scheduler.workers()));
-    for (const SolutionSet& set : chunk_sets) result.solutions.append_all(set);
-  } else {
-    BuildCtx py_ctx(0);  // pyATF per-solution dictionary sink
-    std::vector<std::size_t> pick(groups.size(), 0);
-    std::vector<std::uint32_t> row(n);
-    for (std::uint64_t i = 0; i < total; ++i) {
-      compose(pick, row);
-      if (interpreter_overhead_) {
-        // pyATF yields each configuration as a freshly-allocated dictionary.
-        std::unordered_map<std::string, Value> solution_config;
-        for (std::size_t v = 0; v < n; ++v) {
-          solution_config[problem.name(v)] = problem.domain(v)[row[v]];
-        }
-        py_ctx.py_config = std::move(solution_config);
-      }
-      result.solutions.append(row.data());
-      advance(pick);
+      py_ctx.py_config = std::move(solution_config);
     }
+    result.solutions.append(row.data());
+    advance(pick);
   }
   result.stats.search_seconds = timer.seconds();
   return result;

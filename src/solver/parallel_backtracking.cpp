@@ -4,18 +4,21 @@
 
 #include "backtracking_core.hpp"
 #include "tunespace/util/timer.hpp"
-#include "work_stealing.hpp"
+#include "util/task_pool.hpp"
 
 namespace tunespace::solver {
 
 namespace {
+
+/// Auto split-depth granularity target: tasks per worker.
+constexpr std::size_t kTasksPerThread = 8;
 
 /// Upper bound on auto-chosen prefix candidates: keeps the expanded prefix
 /// pool (and per-task bookkeeping) bounded on spaces with huge level fan-out.
 constexpr std::uint64_t kMaxAutoCandidates = 1u << 20;
 
 /// Initial guess for the prefix split depth: grow until the Cartesian
-/// fan-out of the first `depth` search positions reaches ~tasks_per_thread
+/// fan-out of the first `depth` search positions reaches ~kTasksPerThread
 /// tasks per worker, staying above the old first-variable-only
 /// decomposition (depth 1) and below a full enumeration (depth n-1).  The
 /// solve loop deepens further when pruning leaves too few *valid* prefixes
@@ -26,8 +29,7 @@ std::size_t initial_split_depth(const detail::SearchPlan& plan,
   const std::size_t n = plan.order.size();
   std::size_t depth = options.split_depth;
   if (depth == 0) {
-    const std::uint64_t target =
-        workers * std::max<std::size_t>(options.tasks_per_thread, 1);
+    const std::uint64_t target = workers * kTasksPerThread;
     std::uint64_t product = 1;
     while (depth + 1 < n && product < target) {
       const std::uint64_t next =
@@ -54,7 +56,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   if (plan.unsatisfiable) return result;
 
   timer.reset();
-  const std::size_t workers = parallel_.resolve_threads();
+  const std::size_t workers = util::resolve_workers(parallel_.threads);
 
   if (n == 1) {
     // No prefix to split on: a single-variable search is one flat scan.
@@ -76,8 +78,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   // expansion's counters are recorded, so expansion + task counters still
   // sum to the sequential totals.
   std::size_t depth = initial_split_depth(plan, parallel_, workers);
-  const std::size_t task_target =
-      workers * std::max<std::size_t>(parallel_.tasks_per_thread, 1);
+  const std::size_t task_target = workers * kTasksPerThread;
   std::vector<std::uint32_t> prefixes;  // depth entries per task, rank order
   for (;;) {
     prefixes.clear();
@@ -104,7 +105,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     return result;
   }
 
-  // --- Phase 2: work-stealing enumeration of the per-prefix subtrees ------
+  // --- Phase 2: parallel enumeration of the per-prefix subtrees -----------
   // Solutions land in per-worker sharded SolutionSets tagged with their
   // prefix rank; no shared append lock anywhere on the hot path.  Every
   // task shares one unconstrained tail, whose columns are the same block
@@ -125,21 +126,20 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     SolveStats effort;
   };
 
-  detail::WorkStealingScheduler scheduler(num_tasks, workers, parallel_.steal);
-  std::vector<WorkerShard> shards(scheduler.workers());
+  std::vector<WorkerShard> shards(util::task_workers(num_tasks, workers));
   for (auto& shard : shards) shard.solutions = SolutionSet(problem);
 
-  scheduler.run([&](std::size_t w, std::uint32_t task) {
+  util::run_tasks(num_tasks, workers, [&](std::size_t w, std::size_t task) {
     WorkerShard& shard = shards[w];
     detail::BacktrackingEngine engine(
         plan, detail::BacktrackingEngine::PrefixSeed{&prefixes[task * depth], depth});
     const std::size_t count = engine.drain_prefixes(shard.solutions) * rows_per_prefix;
-    shard.segments.push_back(
-        Segment{task, static_cast<std::uint32_t>(w), shard.rows, count});
+    shard.segments.push_back(Segment{static_cast<std::uint32_t>(task),
+                                     static_cast<std::uint32_t>(w), shard.rows, count});
     shard.rows += count;
     shard.effort += engine.effort();
   });
-  result.stats.parallel_workers = static_cast<std::uint32_t>(scheduler.workers());
+  result.stats.parallel_workers = static_cast<std::uint32_t>(shards.size());
 
   // --- Phase 3: deterministic merge in prefix-rank order ------------------
   // The merged columns are reserved to the known row total, then stitched
@@ -157,8 +157,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   std::sort(segments.begin(), segments.end(),
             [](const Segment& a, const Segment& b) { return a.rank < b.rank; });
   result.solutions.reserve(rows);
-  detail::WorkStealingScheduler stitcher(n, workers, parallel_.steal);
-  stitcher.run([&](std::size_t, std::uint32_t var) {
+  util::run_tasks(n, workers, [&](std::size_t, std::size_t var) {
     PackedColumn& column = result.solutions.mutable_column(var);
     if (plan.pos_of[var] >= tail) {
       detail::append_tail_column(plan, tail, plan.pos_of[var], rows / rows_per_prefix,

@@ -7,10 +7,10 @@
 #include <future>
 #include <mutex>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "tunespace/util/timer.hpp"
+#include "util/task_pool.hpp"
 
 namespace tunespace::tuner {
 
@@ -599,7 +599,6 @@ struct SessionManager::SpaceRegistry {
 
 SessionManager::SessionManager(SessionManagerOptions options)
     : options_(std::move(options)),
-      eval_cache_(options_.cache_stripes),
       registry_(std::make_unique<SpaceRegistry>()) {}
 
 SessionManager::~SessionManager() = default;
@@ -702,37 +701,8 @@ SessionResult SessionManager::run_one(SessionRequest& request) {
 std::vector<SessionResult> SessionManager::run_all(
     std::vector<SessionRequest> requests) {
   std::vector<SessionResult> results(requests.size());
-  if (requests.empty()) return results;
-
-  const std::size_t hw = std::thread::hardware_concurrency();
-  std::size_t workers = options_.workers ? options_.workers : (hw ? hw : 1);
-  workers = std::min(workers, requests.size());
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= requests.size()) return;
-      try {
-        results[i] = run_one(requests[i]);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    drain();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain);
-    for (auto& t : pool) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  util::run_tasks(requests.size(), util::resolve_workers(options_.workers),
+                  [&](std::size_t, std::size_t i) { results[i] = run_one(requests[i]); });
   return results;
 }
 

@@ -1,12 +1,19 @@
-// Tests for RNG, timers, and table/format helpers.
+// Tests for RNG, timers, table/format helpers and the task loop.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "tunespace/util/rng.hpp"
 #include "tunespace/util/table.hpp"
 #include "tunespace/util/timer.hpp"
+#include "util/task_pool.hpp"
 
 using namespace tunespace::util;
 
@@ -145,4 +152,68 @@ TEST(FormatTest, Sparkline) {
   EXPECT_TRUE(sparkline({}).empty());
   // Constant input renders at the lowest level without crashing.
   EXPECT_FALSE(sparkline({2, 2, 2}).empty());
+}
+
+TEST(TaskPoolTest, EachTaskRunsExactlyOnce) {
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    std::vector<std::atomic<int>> runs(100);
+    std::vector<std::size_t> worker_of(runs.size());
+    run_tasks(runs.size(), workers, [&](std::size_t worker, std::size_t task) {
+      runs[task].fetch_add(1);
+      worker_of[task] = worker;
+    });
+    for (std::size_t t = 0; t < runs.size(); ++t) {
+      EXPECT_EQ(runs[t].load(), 1) << "workers " << workers << " task " << t;
+      EXPECT_LT(worker_of[t], workers);
+    }
+  }
+}
+
+TEST(TaskPoolTest, WorkersCappedAtTaskCount) {
+  EXPECT_EQ(task_workers(3, 8), 3u);
+  EXPECT_EQ(task_workers(100, 8), 8u);
+  EXPECT_EQ(task_workers(0, 8), 1u);
+  EXPECT_EQ(task_workers(5, 0), 1u);
+  std::mutex mutex;
+  std::set<std::size_t> workers;
+  std::set<std::thread::id> threads;
+  run_tasks(3, 8, [&](std::size_t worker, std::size_t) {
+    std::lock_guard<std::mutex> lock(mutex);
+    workers.insert(worker);
+    threads.insert(std::this_thread::get_id());
+  });
+  for (std::size_t w : workers) EXPECT_LT(w, 3u);
+  EXPECT_LE(threads.size(), 3u);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);  // caller only joins
+}
+
+TEST(TaskPoolTest, ZeroTasksRunNothing) {
+  for (std::size_t workers : {1u, 4u}) {
+    std::atomic<int> runs{0};
+    run_tasks(0, workers, [&](std::size_t, std::size_t) { runs.fetch_add(1); });
+    EXPECT_EQ(runs.load(), 0);
+  }
+}
+
+TEST(TaskPoolTest, ExceptionRethrownAfterEveryThreadJoined) {
+  for (std::size_t workers : {1u, 4u}) {
+    std::atomic<int> in_flight{0};
+    try {
+      run_tasks(16, workers, [&](std::size_t, std::size_t task) {
+        in_flight.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        in_flight.fetch_sub(1);
+        if (task == 5) throw std::runtime_error("task 5");
+      });
+      ADD_FAILURE() << "no exception with " << workers << " workers";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 5");
+    }
+    EXPECT_EQ(in_flight.load(), 0) << "a task still ran after the rethrow";
+  }
+}
+
+TEST(TaskPoolTest, ResolveWorkers) {
+  EXPECT_EQ(resolve_workers(3), 3u);
+  EXPECT_GE(resolve_workers(0), 1u);
 }
